@@ -1,5 +1,5 @@
 // Benchmark harness regenerating every table and figure of the thesis's
-// evaluation (see DESIGN.md §4 for the experiment index):
+// evaluation:
 //
 //	BenchmarkTableI    — Table I rows (clustered sink groups)
 //	BenchmarkTableII   — Table II rows (intermingled sink groups)
@@ -12,8 +12,8 @@
 //
 // Wirelength, reduction versus EXT-BST, and measured skews are attached as
 // benchmark metrics, so `go test -bench=. -benchmem` reproduces the numbers
-// reported in EXPERIMENTS.md (absolute CPU differs from the thesis's 2006
-// hardware; shapes are the comparison target).
+// ROADMAP.md open item 1 compares against the thesis (absolute CPU differs
+// from the thesis's 2006 hardware; shapes are the comparison target).
 package repro
 
 import (
@@ -146,8 +146,8 @@ func BenchmarkFig2(b *testing.B) {
 	b.ReportMetric(res.SavingPct, "saving%")
 }
 
-// BenchmarkAblation measures the design-choice ablations of DESIGN.md §4 on
-// one intermingled circuit.
+// BenchmarkAblation measures the design-choice ablations of
+// experiments.Ablations on one intermingled circuit.
 func BenchmarkAblation(b *testing.B) {
 	in := bench.Intermingled(bench.Small(300, 3), 6, 77)
 	for _, ab := range experiments.Ablations() {
@@ -273,7 +273,7 @@ func BenchmarkOrderScaling(b *testing.B) {
 //   - traced: the same route with a preconstructed Trace attached. All span
 //     storage lives in the arena allocated by NewWithCap (outside the
 //     measured closure), so enabling tracing may add only the handful of
-//     bookkeeping allocations the builder makes for wave/probe scratch.
+//     bookkeeping allocations the builder makes for probe scratch.
 //   - cancellation-armed: the same route under a live cancellable context
 //     (Options.Ctx set). The per-round done-channel poll must be
 //     allocation-free, so arming -timeout-style cancellation shares the

@@ -1,7 +1,8 @@
 // Command instancegen synthesizes clock routing benchmark instances: the
-// r1–r5 suite of the thesis's experiments (see DESIGN.md §3 for the
-// substitution rationale), the large-instance scaling circuits
-// (l10k/l50k/l100k, 10k–100k sinks for the spatial pairing subsystem), or
+// r1–r5 suite of the thesis's experiments (synthesized stand-ins with the
+// published sink counts; see internal/bench), the large-instance scaling
+// circuits (l10k/l50k/l100k, 10k–100k sinks for the spatial pairing
+// subsystem), or
 // custom sizes, with clustered or intermingled sink groups and uniform or
 // power-law-clustered sink placement.
 //

@@ -1,11 +1,11 @@
-// Command sweep produces data for the parameter studies behind the figures
-// of EXPERIMENTS.md:
+// Command sweep produces data for the parameter studies behind the thesis's
+// figures and for the scaling series:
 //
 //	sweep -mode bound      # bounded-skew wirelength vs skew bound (Fig. 1 curve)
 //	sweep -mode groups     # AST-DME vs EXT-BST vs #groups, both groupings
 //	sweep -mode difficulty # AST-DME gain vs degree of intermingling (Blend)
 //	sweep -mode offsetfloat# wire/skew trade-off of the InterSkewBound knob
-//	sweep -mode scale      # sinks vs CPU seconds vs wirelength, JSON series
+//	sweep -mode scale      # sinks vs wall seconds vs wirelength, JSON series
 //	sweep -mode eco        # incremental (ECO) rebuild vs from-scratch, JSON series
 //
 // The eco mode measures the incremental rerouting path longitudinally: for
@@ -31,9 +31,9 @@
 // skew, pilot cost — to the same series, so the artifact tracks them
 // longitudinally. Every point carries run provenance (git SHA, GOMAXPROCS,
 // CPU model, Go version, timestamp); -trace f.json additionally records a
-// phase trace of every measured point (partition/pilot/shards/stitch/eval,
-// merge-wave idle fraction) and embeds each point's phase summary in the
-// series. Flags that the selected mode would ignore are rejected.
+// phase trace of every measured point (partition/pilot/shards/stitch/eval)
+// and embeds each point's phase summary in the series. Flags that the
+// selected mode would ignore are rejected.
 // All modes accept -cpuprofile/-memprofile for pprof output.
 package main
 
@@ -63,14 +63,14 @@ import (
 
 // scalePoint is one measurement of the -mode scale series.
 type scalePoint struct {
-	Sinks      int     `json:"sinks"`
-	Dist       string  `json:"dist"`
-	Pairer     string  `json:"pairer"`
-	Shards     int     `json:"shards"`
-	CPUSeconds float64 `json:"cpu_seconds"`
-	Wirelength float64 `json:"wirelength"`
-	PairScans  int64   `json:"pair_scans"`
-	SkewPs     float64 `json:"skew_ps"`
+	Sinks       int     `json:"sinks"`
+	Dist        string  `json:"dist"`
+	Pairer      string  `json:"pairer"`
+	Shards      int     `json:"shards"`
+	WallSeconds float64 `json:"wall_seconds"` // one wall-clock sample, not CPU time
+	Wirelength  float64 `json:"wirelength"`
+	PairScans   int64   `json:"pair_scans"`
+	SkewPs      float64 `json:"skew_ps"`
 	// Spatial-index rebuild counts by trigger (zero under the scan pairer).
 	GridRebuilds     int `json:"grid_rebuilds"`
 	RebuildsLiveDrop int `json:"rebuilds_live_drop"`
@@ -252,7 +252,7 @@ func runScale(out io.Writer, sizes string, dist string, pairers string, seed int
 		rb := res.Stats.GridRebuilds
 		pt := scalePoint{
 			Sinks: len(in.Sinks), Dist: dist, Pairer: pm, Shards: opt.Shards,
-			CPUSeconds: elapsed, Wirelength: res.Wirelength,
+			WallSeconds: elapsed, Wirelength: res.Wirelength,
 			PairScans: res.Stats.PairScans, SkewPs: rep.GlobalSkew,
 			GridRebuilds: rb.Total(), RebuildsLiveDrop: rb.LiveDrop,
 			RebuildsClamp: rb.EdgeClamp, RebuildsScanRate: rb.ScanRate,

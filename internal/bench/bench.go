@@ -12,8 +12,10 @@
 // instances are synthesized with the published sink counts, uniform-random
 // sink placements over a die scaled with sqrt(n) (keeping wirelengths at the
 // paper's order of magnitude), and random sink load capacitances, all under
-// fixed seeds for reproducibility. See DESIGN.md §3 for why this preserves
-// the paper's shape-level conclusions.
+// fixed seeds for reproducibility. The comparisons the thesis draws are
+// relative (AST-DME against EXT-BST on the same placement), so they carry
+// over to synthesized placements of the same size; ROADMAP.md open item 1
+// records how closely they reproduce.
 package bench
 
 import (

@@ -46,9 +46,10 @@
 // are leashed to the registered offsets within
 // IntraSkewBound+InterSkewBound — without the leash, independently built
 // subtrees commit contradictory offsets whose reconciliation cost grows
-// without bound (measured during development; see DESIGN.md §2). Merges of
-// subtrees with disjoint raw group sets remain completely free: the
-// bottom-level freedom on intermingled instances.
+// without bound (measured during development; ROADMAP.md open item 1 records
+// the InterSkewBound instability). Merges of subtrees with disjoint raw
+// group sets remain completely free: the bottom-level freedom on
+// intermingled instances.
 //
 // *Wire sneaking.* When the hard windows of a merge still conflict (two
 // subtrees committed contradictory offsets), the generalized form of thesis
@@ -63,9 +64,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"sync/atomic"
-	"time"
+	"slices"
 
 	"repro/internal/ctree"
 	"repro/internal/geom"
@@ -111,8 +110,8 @@ type Options struct {
 	// (Ch. V.D). The default 0 freezes offsets once committed, which keeps
 	// intra-group skew at the bound; positive values trade bounded
 	// intra-group degradation for extra placement freedom (ablation knob).
-	// Values < 0 remove the leash entirely (documented to destabilize the
-	// offset system; see DESIGN.md). Ignored in SingleGroup mode.
+	// Values < 0 remove the leash entirely, which destabilizes the offset
+	// system (see the leash in the package doc). Ignored in SingleGroup mode.
 	InterSkewBound float64
 	// SingleGroup ignores sink groups: all sinks form one group bounded by
 	// GlobalBound. SingleGroup+GlobalBound=0 is greedy-DME (ZST);
@@ -172,15 +171,6 @@ type Options struct {
 	// merge distance, falling back to the least-violation compromise
 	// (default 8).
 	SneakCostCap float64
-	// MergeWorkers is the number of goroutines executing the merge bodies of
-	// each round's disjoint batch (window intersection, joint resolution,
-	// delay evaluation, node construction). 0 (the default) selects
-	// GOMAXPROCS; 1 forces fully serial execution. Any setting produces
-	// bitwise-identical trees: batches are scheduled so concurrently
-	// executed merges cannot observe each other's group-offset commitments,
-	// and results are committed serially in batch order (see
-	// builder.runBatch).
-	MergeWorkers int
 	// Shards, when ≥ 1, requests the spatially sharded build: the instance
 	// is cut into Shards sub-instances routed concurrently and stitched
 	// skew-aware at the top (see internal/shard). The sharded pipeline lives
@@ -204,14 +194,12 @@ type Options struct {
 	// prescribed the contract).
 	Pilot bool
 	// Trace, when non-nil, records the run's phase timings (the "route"
-	// span with per-round merge-wave sub-spans) and exports the run's Stats
-	// as metrics into the trace's registry. Tracing is purely observational:
-	// a traced build is bitwise-identical to an untraced one, and a nil
-	// Trace costs nothing on the hot path (see internal/obs's disabled-path
-	// contract). A Trace is single-goroutine — concurrent sub-builds (the
-	// sharded pipeline) give each build its own child trace; the parallel
-	// merge wave's worker builders run untraced and report their rounds
-	// through this coordinating builder.
+	// and "embed" spans) and exports the run's Stats as metrics into the
+	// trace's registry. Tracing is purely observational: a traced build is
+	// bitwise-identical to an untraced one, and a nil Trace costs nothing on
+	// the hot path (see internal/obs's disabled-path contract). A Trace is
+	// single-goroutine — concurrent sub-builds (the sharded pipeline) give
+	// each build its own child trace.
 	Trace *obs.Trace
 	// Ctx, when non-nil, bounds the build: the merging loop checks it once
 	// per round and Build/BuildSubtree/MergeRoots return a "build cancelled"
@@ -227,10 +215,8 @@ type Options struct {
 	// state (window bounds, infeasibility gap, sneak wire, and the
 	// registry's per-group cumulative offsets) — the instrument for the
 	// InterSkewBound W-sweep instability. Events carry a per-merge sequence
-	// number; recording happens only on the coordinating builder, so runs
-	// wanting complete capture set MergeWorkers to 1 (parallel wave workers
-	// skip the probe rather than race on it). Like Trace, the probe is
-	// purely observational and nil costs nothing.
+	// number; merge bodies run serially, so the probe captures every merge.
+	// Like Trace, the probe is purely observational and nil costs nothing.
 	SneakProbe *obs.Probe
 }
 
@@ -242,8 +228,8 @@ type PairConstraint struct {
 }
 
 // DefaultModel returns the Elmore model used throughout the experiments:
-// 0.1 Ω and 0.02 fF per unit length. The values are calibrated (DESIGN.md §3)
-// so the synthetic r1–r5 instances see source-to-sink delays of tens of ns
+// 0.1 Ω and 0.02 fF per unit length. The values are calibrated so the
+// synthetic r1–r5 instances see source-to-sink delays of tens of ns
 // and leaf-level merge imbalances of tens of ps, matching the regime of the
 // thesis's experiments where the 10 ps EXT-BST bound is tight.
 func DefaultModel() rctree.Model { return rctree.NewElmore(0.1, 0.02) }
@@ -284,8 +270,9 @@ type Stats struct {
 	SneakUnresolved int
 }
 
-// add accumulates a worker's per-merge stat deltas. PairScans is excluded:
-// it is recorded once per run from the order queue, not by merge bodies.
+// add accumulates the merge-body counters of d. PairScans and GridRebuilds
+// are excluded: they are recorded once per run from the pairing engine, not
+// by merge bodies.
 func (s *Stats) add(d Stats) {
 	s.Merges += d.Merges
 	s.SameGroup += d.SameGroup
@@ -301,10 +288,10 @@ func (s *Stats) add(d Stats) {
 }
 
 // AddRun accumulates a complete sub-build's stats into s, including the
-// per-run engine metrics (PairScans, GridRebuilds) that the merge workers'
-// per-batch deltas deliberately exclude — sub-builds own their pairing
-// engines. Used by the sharded pipeline (internal/shard) to aggregate shard
-// and stitch runs; keep it in sync with the fields of Stats.
+// per-run engine metrics (PairScans, GridRebuilds) that add deliberately
+// excludes — sub-builds own their pairing engines. Used by the sharded
+// pipeline (internal/shard) to aggregate shard and stitch runs; keep it in
+// sync with the fields of Stats.
 func (s *Stats) AddRun(d Stats) {
 	s.add(d)
 	s.PairScans += d.PairScans
@@ -510,9 +497,10 @@ func (r *Registry) Offsets() ([]float64, error) {
 // Cloning is how concurrent sub-builds share a base view without locks: the
 // base stays frozen while clones mutate privately.
 func (r *Registry) Clone() *Registry {
-	c := &Registry{preUnions: r.preUnions}
-	r.uf.cloneInto(&c.uf)
-	return c
+	return &Registry{
+		uf:        groupUF{parent: slices.Clone(r.uf.parent), off: slices.Clone(r.uf.off)},
+		preUnions: r.preUnions,
+	}
 }
 
 // Subtree is the product of a sub-instance build (BuildSubtree) or a root
@@ -626,17 +614,6 @@ func EXTBST(in *ctree.Instance, boundPs float64, opt Options) (*Result, error) {
 type groupUF struct {
 	parent []int
 	off    []float64
-	// journal, when non-nil, records every union instead of only applying
-	// it: parallel merge workers operate on private clones and their
-	// recorded unions are replayed onto the shared registry at the serial
-	// commit (see runBatch).
-	journal *[]unionRec
-}
-
-// unionRec is one recorded union for deferred replay.
-type unionRec struct {
-	ra, rb int
-	rel    float64
 }
 
 func newGroupUF(n int) *groupUF {
@@ -645,13 +622,6 @@ func newGroupUF(n int) *groupUF {
 		u.parent[i] = i
 	}
 	return u
-}
-
-// cloneInto copies u's state into dst (reusing dst's backing arrays),
-// giving a parallel merge worker a private view it may mutate.
-func (u *groupUF) cloneInto(dst *groupUF) {
-	dst.parent = append(dst.parent[:0], u.parent...)
-	dst.off = append(dst.off[:0], u.off...)
 }
 
 // find returns g's union root and the cumulative offset of g relative to it.
@@ -672,9 +642,6 @@ func (u *groupUF) find(g int) (root int, off float64) {
 func (u *groupUF) union(ra, rb int, rel float64) {
 	u.parent[rb] = ra
 	u.off[rb] = rel
-	if u.journal != nil {
-		*u.journal = append(*u.journal, unionRec{ra: ra, rb: rb, rel: rel})
-	}
 }
 
 // sneakScratch is a reusable buffer for one sneak plan.
@@ -691,8 +658,8 @@ const delaySlabMin = 4096
 // delay sets: merges reserve exact-capacity slices out of large chunks
 // instead of allocating one map per node, which was the dominant allocation
 // of large routes. Chunks are never freed individually — they live as long
-// as the tree does. Each builder (including each parallel merge worker)
-// owns a private slab, so reservations need no synchronization.
+// as the tree does. Each builder owns a private slab, so concurrent
+// sub-builds (the sharded pipeline) need no synchronization.
 type delaySlab struct {
 	groups []int32
 	ivs    []rctree.Interval
@@ -755,8 +722,7 @@ type builder struct {
 	arena    []ctree.Node
 	arenaOff int
 
-	// Reusable scratch for the allocation-heavy merge-body helpers. Worker
-	// builders carry their own copies, so merge bodies never share scratch.
+	// Reusable scratch for the allocation-heavy merge-body helpers.
 	normA, normB   rctree.DelaySet // normalize outputs (keyed by union root)
 	delayA, delayB rctree.DelaySet // DelayAtBuf outputs (windowGap)
 	sneakA, sneakB sneakScratch    // sneak plan buffers
@@ -764,40 +730,10 @@ type builder struct {
 	unionBuf       []int           // UnionGroups staging (one merge)
 	delays         delaySlab       // committed delay-set storage
 
-	// Parallel batch execution state (main builder only).
-	workers []mergeWorker
-	tasks   []mergeTask
-	rootsIn []bool // scratch: union roots written by scheduled batch writers
-
-	// Observability state (main builder only; all of it is dead weight when
-	// opt.Trace and opt.SneakProbe are nil — no field is touched then).
-	// wave* accumulate the parallel merge wave's per-round idle accounting
-	// for export as MetricWave* at the end of route; busyNS is the per-round
-	// per-worker busy-time scratch; probeVals/probeSeq back the sneak probe.
-	waveRounds   int
-	waveBatchMax int
-	waveSlotNS   int64
-	waveIdleNS   int64
-	busyNS       []int64
-	probeVals    []float64
-	probeSeq     int
-}
-
-// mergeTask is one merge of a round's disjoint batch.
-type mergeTask struct {
-	na, nb *ctree.Node
-	out    *ctree.Node // preassigned arena slot
-	wave   bool        // executable concurrently against the pre-batch registry
-	writer bool        // may register group unions (needs a private registry)
-	stats  Stats       // worker's stat delta (wave tasks)
-	unions []unionRec  // worker's recorded unions (wave writer tasks)
-}
-
-// mergeWorker is the per-goroutine execution state of parallel batches: a
-// builder clone with private scratch plus a reusable registry snapshot.
-type mergeWorker struct {
-	wb builder
-	uf groupUF // private clone target for writer tasks
+	// Sneak-probe state (dead weight when opt.SneakProbe is nil — no field
+	// is touched then).
+	probeVals []float64
+	probeSeq  int
 }
 
 // boundOf returns the intra-group skew bound used for routing.
@@ -1054,12 +990,6 @@ func (b *builder) route() {
 		if gp, ok := ocfg.Pairer.(*spatial.GridPairer); ok {
 			tr.Metric(obs.MetricGridRebuildNS, float64(gp.Index().RebuildTime().Nanoseconds()))
 		}
-		if b.waveRounds > 0 {
-			tr.Metric(obs.MetricWaveRounds, float64(b.waveRounds))
-			tr.Metric(obs.MetricWaveSlotNS, float64(b.waveSlotNS))
-			tr.Metric(obs.MetricWaveIdleNS, float64(b.waveIdleNS))
-			tr.Metric(obs.MetricWaveBatchMax, float64(b.waveBatchMax))
-		}
 	}
 	b.root = b.nodes[len(b.nodes)-1]
 }
@@ -1075,201 +1005,20 @@ func (b *builder) finishRoot() {
 	b.resolve(b.root, geom.DistRP(b.root.Left.Region, q))
 }
 
-// minParallelBatch is the batch size below which runBatch stays serial: the
-// scheduling pass and goroutine fan-out cost more than a handful of merge
-// bodies.
-const minParallelBatch = 8
-
-// mergeWorkerCount resolves Options.MergeWorkers.
-func (b *builder) mergeWorkerCount() int {
-	if b.opt.MergeWorkers > 0 {
-		return b.opt.MergeWorkers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// runBatch executes one round's disjoint merge batch and registers the
-// results with the queue in batch order. Small batches (or MergeWorkers=1)
-// run serially; larger ones fan the merge bodies out across workers and
-// commit serially, which is bitwise-identical to the serial execution:
-//
-//   - The pairs of a batch share no subtree, so merge bodies only interact
-//     through the group-offset registry (builder.uf).
-//   - A scheduling pass walks the batch in order tracking, conservatively,
-//     the set of union roots each merge may commit (a merge spanning ≥ 2
-//     distinct roots may union them). A merge whose root set intersects a
-//     prior writer's is deferred to the serial commit phase, where it runs
-//     against the live registry exactly as the serial order would.
-//   - Every other merge joins the parallel wave. Non-writers read the
-//     shared registry (frozen during the wave); writers run on a private
-//     clone, journaling their unions. Since no prior batch writer touched
-//     their roots, the clone view equals the serial view over everything
-//     the merge can read.
-//   - The commit phase walks the batch in order: wave results adopt their
-//     stat deltas and replay their journaled unions; deferred merges
-//     execute serially in place. Node ids, queue registration and spatial
-//     re-indexing all happen here, in batch order.
-//
-// Single-group runs (ZST, EXT-BST) and prescribed-offset runs have one
-// union root for every merge, so the whole batch always waves.
+// runBatch executes one round's disjoint merge batch serially, in batch
+// order, and then registers the results with the queue in the same order.
+// Parallelism lives above (the sharded pipeline) and beside (the queue's
+// batch pairing) this loop, not in the merge bodies.
 func (b *builder) runBatch(q *order.Queue, batch []order.Pair) {
 	base := len(b.nodes)
-	if workers := b.mergeWorkerCount(); workers > 1 && len(batch) >= minParallelBatch {
-		b.mergeBatchParallel(batch, base, workers)
-	} else {
-		for k, p := range batch {
-			b.merge(b.nodes[p.I], b.nodes[p.J], b.slot(base+k))
-		}
+	for k, p := range batch {
+		b.merge(b.nodes[p.I], b.nodes[p.J], b.slot(base+k))
 	}
 	for k := range batch {
 		c := b.slot(base + k)
 		c.ID = base + k
 		b.nodes = append(b.nodes, c)
 		q.Merged(c.ID)
-	}
-}
-
-// mergeBatchParallel is runBatch's parallel wave + serial commit (see the
-// runBatch comment for the invariants). When traced it times the round's
-// three sections — serial scheduling pass, parallel wave, serial commit —
-// and accumulates the wave's idle accounting: over a round with W workers,
-// slot time is (sched + wave + commit)·W and idle time is
-// (sched + commit)·(W−1) plus the wave's internal imbalance (wave·W − Σbusy),
-// so idle/slot across rounds is the fraction of worker capacity spent
-// waiting on the serial sections or on uneven chunks.
-func (b *builder) mergeBatchParallel(batch []order.Pair, base, workers int) {
-	tr := b.opt.Trace
-	var rgn obs.Region
-	var tStart time.Time
-	if tr != nil {
-		rgn = tr.Begin("wave")
-		tStart = obs.Now()
-		if len(b.busyNS) < workers {
-			b.busyNS = make([]int64, workers)
-		}
-		for i := range b.busyNS {
-			b.busyNS[i] = 0
-		}
-	}
-	// Scheduling pass: conservative registry-conflict analysis in batch
-	// order, against the pre-batch registry (b.uf is not mutated here).
-	multiRoot := !b.opt.SingleGroup && b.in.NumGroups > 1 && b.opt.GroupOffsets == nil
-	if b.rootsIn == nil && multiRoot {
-		b.rootsIn = make([]bool, b.in.NumGroups)
-	}
-	tasks := b.tasks[:0]
-	for k, p := range batch {
-		t := mergeTask{na: b.nodes[p.I], nb: b.nodes[p.J], out: b.slot(base + k), wave: true}
-		if multiRoot {
-			t.wave, t.writer = b.scheduleTask(t.na, t.nb)
-		}
-		tasks = append(tasks, t)
-	}
-	b.tasks = tasks
-	if multiRoot {
-		// Reset the written-roots scratch for the next batch.
-		for i := range b.rootsIn {
-			b.rootsIn[i] = false
-		}
-	}
-
-	// Parallel wave over contiguous chunks; chunk w handles tasks[lo:hi].
-	if b.workers == nil {
-		b.workers = make([]mergeWorker, 0, workers)
-	}
-	for len(b.workers) < workers {
-		w := mergeWorker{wb: builder{opt: b.opt, in: b.in}}
-		// Workers run untraced: a Trace/Probe is single-goroutine, and the
-		// coordinating builder owns the round's accounting.
-		w.wb.opt.Trace = nil
-		w.wb.opt.SneakProbe = nil
-		w.wb.initScratch()
-		b.workers = append(b.workers, w)
-	}
-	var tSched time.Time
-	if tr != nil {
-		tSched = obs.Now()
-	}
-	var next atomic.Int32
-	order.ParallelChunksN(len(tasks), workers, 1, func(lo, hi int) {
-		// ParallelChunksN launches at most `workers` chunks; the counter
-		// keys each chunk to a private worker without assuming launch order.
-		wi := next.Add(1) - 1
-		w := &b.workers[wi]
-		var tBusy time.Time
-		if tr != nil {
-			tBusy = obs.Now()
-		}
-		for k := lo; k < hi; k++ {
-			t := &tasks[k]
-			if !t.wave {
-				continue
-			}
-			w.wb.stats = Stats{}
-			if t.writer {
-				b.uf.cloneInto(&w.uf)
-				t.unions = t.unions[:0]
-				w.uf.journal = &t.unions
-				w.wb.uf = &w.uf
-			} else {
-				w.wb.uf = b.uf // read-only during the wave
-			}
-			w.wb.merge(t.na, t.nb, t.out)
-			t.stats = w.wb.stats
-		}
-		if tr != nil {
-			b.busyNS[wi] = obs.Since(tBusy).Nanoseconds()
-		}
-	})
-	var tWave time.Time
-	if tr != nil {
-		tWave = obs.Now()
-	}
-
-	// Serial commit in batch order.
-	for k := range tasks {
-		t := &tasks[k]
-		if t.wave {
-			b.stats.add(t.stats)
-			for _, u := range t.unions {
-				// Replay raw: the recorded roots are untouched by every
-				// other merge of this batch (scheduling invariant).
-				b.uf.parent[u.rb] = u.ra
-				b.uf.off[u.rb] = u.rel
-			}
-		} else {
-			b.merge(t.na, t.nb, t.out)
-		}
-	}
-
-	if tr != nil {
-		w := int64(workers)
-		sched := tSched.Sub(tStart).Nanoseconds()
-		wave := tWave.Sub(tSched).Nanoseconds()
-		commit := obs.Since(tWave).Nanoseconds()
-		var busy int64
-		for _, v := range b.busyNS[:workers] {
-			busy += v
-		}
-		idle := (sched+commit)*(w-1) + (wave*w - busy)
-		if idle < 0 {
-			idle = 0 // clock skew between the chunk timers and the wave timer
-		}
-		slot := (sched + wave + commit) * w
-		b.waveRounds++
-		b.waveSlotNS += slot
-		b.waveIdleNS += idle
-		if len(batch) > b.waveBatchMax {
-			b.waveBatchMax = len(batch)
-		}
-		idleFrac := 0.0
-		if slot > 0 {
-			idleFrac = float64(idle) / float64(slot)
-		}
-		rgn.Attr("batch", float64(len(batch))).
-			Attr("workers", float64(workers)).
-			Attr("idle_frac", idleFrac)
-		rgn.End()
 	}
 }
 
@@ -1291,31 +1040,6 @@ func (b *builder) appendDistinctRoots(dst []int, gs []int) []int {
 		}
 	}
 	return dst
-}
-
-// scheduleTask classifies one batch merge against the written-roots scratch:
-// reports whether it can run in the parallel wave and whether it may write
-// the registry. Must be called in batch order.
-func (b *builder) scheduleTask(na, nb *ctree.Node) (wave, writer bool) {
-	// Collect the distinct union roots of both subtrees' groups.
-	var roots [16]int
-	rs := b.appendDistinctRoots(b.appendDistinctRoots(roots[:0], na.Groups), nb.Groups)
-	writer = len(rs) >= 2
-	conflict := false
-	for _, r := range rs {
-		if b.rootsIn[r] {
-			conflict = true
-			break
-		}
-	}
-	if conflict || writer {
-		// Tail tasks are treated as writers too: they run against the live
-		// registry and may commit unions among these roots.
-		for _, r := range rs {
-			b.rootsIn[r] = true
-		}
-	}
-	return !conflict, writer
 }
 
 // resolve pins a deferred node and registers the group-offset commitments it

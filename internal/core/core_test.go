@@ -129,7 +129,7 @@ func TestASTZeroIntraGroupSkew(t *testing.T) {
 func TestASTCompetitiveWithEXTBSTOnIntermingled(t *testing.T) {
 	// AST-DME relaxes EXT-BST's inter-group constraints, so across seeds its
 	// wirelength should track EXT-BST closely (the heuristics do not
-	// guarantee per-instance dominance; see EXPERIMENTS.md). Assert the
+	// guarantee per-instance dominance; see ROADMAP.md open item 1). Assert the
 	// aggregate stays within a few percent and never degenerates.
 	var astSum, extSum float64
 	for _, seed := range []int64{3, 4, 5, 6} {

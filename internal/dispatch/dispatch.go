@@ -457,7 +457,7 @@ type taskState struct {
 }
 
 // runObserver lets a dispatch-package runner report run-scoped state (the
-// RemoteRunner's fallback and worker-loss journals) into the Report and the
+// RemoteRunner's fallback and worker-loss records) into the Report and the
 // trace after the drain, on the coordinator goroutine — the only place the
 // single-goroutine trace contract allows. Unexported on purpose: outside
 // runners cannot inject into the report.
@@ -581,7 +581,7 @@ func Run(ctx context.Context, n int, r Runner, o Options) ([]any, Report, error)
 		c.inflight--
 		c.tasks[ev.t.Index].running--
 	}
-	// After the drain no execution can journal further; fold run-scoped
+	// After the drain no execution can record further; fold run-scoped
 	// runner state (remote fallbacks, lost workers) into the report and
 	// trace on this, the coordinator goroutine.
 	if ob, ok := r.(runObserver); ok {

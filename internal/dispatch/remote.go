@@ -326,8 +326,8 @@ type RemoteConfig struct {
 // 422 (deterministic build failure) returns Permanent untouched; an
 // undecodable response — corruption in transit, injected or real — returns
 // Transient without blaming the worker. When no healthy worker remains for
-// the execution, it transparently degrades to the Local runner and journals
-// the fallback; the journal is folded into Report/trace after the run
+// the execution, it transparently degrades to the Local runner and records
+// the fallback; the record is folded into Report/trace after the run
 // drains (observeRun, on the coordinator goroutine).
 type RemoteRunner struct {
 	pool     *WorkerPool
@@ -421,7 +421,7 @@ func (r *RemoteRunner) Run(ctx context.Context, t Task) (any, error) {
 		}
 	}
 	// Graceful degradation: no healthy worker could take the task. The
-	// build completes locally; the journaled fallback surfaces on the
+	// build completes locally; the recorded fallback surfaces on the
 	// report and trace after the run drains.
 	r.mu.Lock()
 	r.fbTasks = append(r.fbTasks, t)
@@ -443,7 +443,7 @@ func corruptResponse(data []byte) []byte {
 	return out
 }
 
-// observeRun implements runObserver: it folds the run's journaled
+// observeRun implements runObserver: it folds the run's recorded
 // degradation events into the report and emits the matching metrics and
 // event spans. Run (dispatch.go) calls it once after the drain, on the
 // coordinator goroutine — the only goroutine allowed to touch the trace.

@@ -144,7 +144,7 @@ func TestRemoteRunnerFallsBackWhenFleetDown(t *testing.T) {
 	if out.(string) != "local" {
 		t.Fatalf("out = %v, want graceful local fallback", out)
 	}
-	// The journaled fallback folds into the report and trace on observe.
+	// The recorded fallback folds into the report and trace on observe.
 	var rep Report
 	tr := obs.New("t")
 	r.observeRun(&rep, tr)

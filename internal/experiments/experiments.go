@@ -1,8 +1,8 @@
 // Package experiments regenerates the evaluation of the thesis: Table I
 // (clusters of sink groups), Table II (intermingled sink groups), the
 // figure-level comparisons (Figs. 1 and 2), and the ablation studies of the
-// design choices called out in DESIGN.md. It is shared by cmd/tables and the
-// repository-level benchmarks.
+// router's design choices (see Ablations). It is shared by cmd/tables and
+// the repository-level benchmarks.
 package experiments
 
 import (
@@ -21,8 +21,9 @@ import (
 )
 
 // ASTIntraBoundPs is the intra-group skew bound used for the AST-DME rows,
-// matching the 10 ps bound of the EXT-BST baseline rows (see EXPERIMENTS.md
-// for why the comparison fixes both constraints at the same tightness).
+// matching the 10 ps bound of the EXT-BST baseline rows: the comparison
+// fixes both constraints at the same tightness, so AST-DME's saving comes
+// from leaving inter-group skew free, not from a looser bound.
 const ASTIntraBoundPs = 10
 
 // EXTBoundPs is the global skew bound of the EXT-BST baseline, from the
@@ -249,8 +250,8 @@ type Ablation struct {
 	Opt  core.Options
 }
 
-// Ablations returns the configurations exercising the design choices of
-// DESIGN.md §4 (merging order, delay-target bias, region deferral).
+// Ablations returns the configurations exercising the router's design
+// choices (merging order, delay-target bias, region deferral).
 func Ablations() []Ablation {
 	greedy := core.Options{IntraSkewBound: ASTIntraBoundPs,
 		Order: order.Config{Strategy: order.Greedy}}

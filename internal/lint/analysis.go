@@ -1,7 +1,7 @@
 // Package lint is dmevet's static-analysis suite: a set of analyzers that
 // enforce the repo's determinism contract at the call site, before a
 // violation can reach a differential test. Every load-bearing guarantee in
-// this codebase — parallel merge waves, sharded builds, remote dispatch over
+// this codebase — parallel batch pairing, sharded builds, remote dispatch over
 // internal/wire, ECO rebuilds — rests on the invariant that a sub-build is a
 // pure function of its inputs and any re-execution is bitwise-identical.
 // The analyzers encode the ways that invariant is silently broken in Go:

@@ -4,8 +4,8 @@ import "time"
 
 // Now and Since are the sanctioned monotonic-clock reads for the
 // deterministic packages (core, order, spatial, ...): engine timers that
-// feed trace metrics — pairing_ns, grid_rebuild_ns, the merge-wave
-// idle/slot accounting — read the clock through this seam, never through
+// feed trace metrics — pairing_ns, grid_rebuild_ns — read the clock
+// through this seam, never through
 // the time package directly. The seam makes the rule statically checkable
 // (dmevet's wallclock analyzer flags direct time.Now/time.Since in those
 // packages) and keeps the contract auditable: everything that flows out of

@@ -17,22 +17,9 @@ type Phase struct {
 	Count int     `json:"count"`
 }
 
-// WaveSummary aggregates the parallel merge wave's per-round accounting
-// (recorded as MetricWave* metrics by the router) over a trace and its
-// descendants. IdleFrac is idle worker-time over total worker-time of the
-// parallel rounds: the fraction spent waiting on the serial
-// conflict-scheduling pass, the serial commit, and wave-internal load
-// imbalance.
-type WaveSummary struct {
-	Rounds   int     `json:"rounds"`
-	BatchMax int     `json:"batch_max"`
-	IdleFrac float64 `json:"idle_frac"`
-}
-
 // Summary is the compact phase breakdown of a trace: wall time, the
-// top-level phases in first-seen order with their share of the wall, and the
-// merge wave's aggregate idle fraction when parallel rounds ran. It is what
-// sweep embeds per point into the BENCH_*.json series and what Report
+// top-level phases in first-seen order with their share of the wall. It is
+// what sweep embeds per point into the BENCH_*.json series and what Report
 // renders for humans.
 type Summary struct {
 	Label  string  `json:"label"`
@@ -40,9 +27,8 @@ type Summary struct {
 	// CoveredMS is the summed duration of the top-level spans — the wall
 	// time the trace attributes to a named phase. covered/wall is the
 	// accounting coverage the acceptance tests pin (≥ 95% on a full build).
-	CoveredMS float64      `json:"covered_ms"`
-	Phases    []Phase      `json:"phases"`
-	MergeWave *WaveSummary `json:"merge_wave,omitempty"`
+	CoveredMS float64 `json:"covered_ms"`
+	Phases    []Phase `json:"phases"`
 }
 
 func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
@@ -73,44 +59,13 @@ func (t *Trace) Summary() *Summary {
 			s.Phases = append(s.Phases, Phase{Name: sp.name, MS: d, Count: 1})
 		}
 	}
-	if slot, ok := t.MetricValue(MetricWaveSlotNS); ok && slot > 0 {
-		idle, _ := t.MetricValue(MetricWaveIdleNS)
-		rounds, _ := t.MetricValue(MetricWaveRounds)
-		// BatchMax accumulates across traces under Metric's by-name sum, so
-		// take the per-trace maximum explicitly.
-		s.MergeWave = &WaveSummary{
-			Rounds:   int(rounds),
-			BatchMax: int(t.maxMetric(MetricWaveBatchMax)),
-			IdleFrac: idle / slot,
-		}
-	}
 	return s
-}
-
-// maxMetric returns the maximum value the named metric holds in this trace
-// or any descendant (0 when absent).
-func (t *Trace) maxMetric(name string) float64 {
-	if t == nil {
-		return 0
-	}
-	var m float64
-	for i := range t.metrics {
-		if t.metrics[i].Name == name && t.metrics[i].Val > m {
-			m = t.metrics[i].Val
-		}
-	}
-	for _, c := range t.children {
-		if v := c.maxMetric(name); v > m {
-			m = v
-		}
-	}
-	return m
 }
 
 // Report renders the trace's phase breakdown as one human-readable line,
 // e.g.
 //
-//	astdme: wall 1.52s (98.7% attributed) | partition 0.6% | pilot 21.3% | shards 52.0% | stitch 23.1% | eval 1.7% | merge-wave idle 14.2% over 211 rounds
+//	astdme: wall 1.52s (98.7% attributed) | partition 0.6% | pilot 21.3% | shards 52.0% | stitch 23.1% | eval 1.7%
 //
 // Returns "" on a nil trace.
 func (t *Trace) Report() string {
@@ -130,9 +85,6 @@ func (t *Trace) Report() string {
 			pct = 100 * p.MS / s.WallMS
 		}
 		fmt.Fprintf(&b, " | %s %.1f%%", p.Name, pct)
-	}
-	if w := s.MergeWave; w != nil {
-		fmt.Fprintf(&b, " | merge-wave idle %.1f%% over %d rounds", 100*w.IdleFrac, w.Rounds)
 	}
 	return b.String()
 }

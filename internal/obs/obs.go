@@ -39,9 +39,8 @@ package obs
 import "time"
 
 // DefaultSpanCap is the span-arena capacity of New. At ~150 bytes per span a
-// trace costs ~300 KB, enough for the pipeline phases plus per-round
-// merge-wave spans of large routes; overflow drops spans (counted) rather
-// than growing.
+// trace costs ~300 KB, enough for the phases of a sharded pipeline with
+// many sub-builds; overflow drops spans (counted) rather than growing.
 const DefaultSpanCap = 2048
 
 // maxAttrs is the number of numeric attributes a span can carry.
@@ -61,16 +60,12 @@ type Metric struct {
 
 // Names of the metrics the router records, shared here so core (which
 // writes them) and Summary (which aggregates them) agree without an import
-// cycle. The merge-wave pair slot/idle are nanosecond totals: slot is
-// (sched + wave + commit) × workers summed over parallel rounds, idle the
-// worker-nanoseconds spent waiting on the serial conflict-scheduling pass
-// and serial commit plus wave-internal load imbalance, so idle/slot is the
-// wave's aggregate idle fraction.
+// cycle. Nothing records MetricWaveSlotNS or MetricWaveIdleNS: the router
+// runs its merge bodies serially, so they read 0. They stay declared for
+// readers that still query them.
 const (
-	MetricWaveRounds    = "merge_wave_rounds"
 	MetricWaveSlotNS    = "merge_wave_slot_ns"
 	MetricWaveIdleNS    = "merge_wave_idle_ns"
-	MetricWaveBatchMax  = "merge_wave_batch_max"
 	MetricPairingNS     = "pairing_ns"
 	MetricGridRebuildNS = "grid_rebuild_ns"
 	// Dispatch fault-handling counters (internal/dispatch): retries
@@ -315,8 +310,8 @@ func (t *Trace) Children() []*Trace {
 // router's leash/sneak iteration, primarily — into preallocated storage.
 // Like spans, a full probe drops further records (counted) rather than
 // growing, and all methods are nil-safe no-ops on a nil *Probe. A Probe is
-// single-goroutine: the router records only from its coordinating builder
-// (set MergeWorkers=1 for complete capture; see core.Options.SneakProbe).
+// single-goroutine: the router runs its merge bodies serially, so one probe
+// captures every merge of a build (see core.Options.SneakProbe).
 type Probe struct {
 	name    string
 	events  []ProbeEvent

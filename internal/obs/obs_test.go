@@ -149,11 +149,6 @@ func TestSummaryAndReport(t *testing.T) {
 	b := tr.Begin("eval")
 	time.Sleep(time.Millisecond)
 	b.End()
-	// Merge-wave metrics: 4 workers, 25% idle.
-	tr.Metric(MetricWaveRounds, 3)
-	tr.Metric(MetricWaveSlotNS, 4e6)
-	tr.Metric(MetricWaveIdleNS, 1e6)
-	tr.Metric(MetricWaveBatchMax, 17)
 	tr.Close()
 
 	s := tr.Summary()
@@ -166,18 +161,9 @@ func TestSummaryAndReport(t *testing.T) {
 	if s.CoveredMS <= 0 || s.CoveredMS > s.WallMS {
 		t.Fatalf("covered %v of wall %v", s.CoveredMS, s.WallMS)
 	}
-	if s.MergeWave == nil {
-		t.Fatal("merge-wave summary missing")
-	}
-	if s.MergeWave.Rounds != 3 || s.MergeWave.BatchMax != 17 {
-		t.Fatalf("wave = %+v", s.MergeWave)
-	}
-	if got := s.MergeWave.IdleFrac; got < 0.249 || got > 0.251 {
-		t.Fatalf("idle frac = %v, want 0.25", got)
-	}
 
 	rep := tr.Report()
-	for _, want := range []string{"run:", "build", "eval", "merge-wave idle"} {
+	for _, want := range []string{"run:", "build", "eval"} {
 		if !bytes.Contains([]byte(rep), []byte(want)) {
 			t.Errorf("report %q missing %q", rep, want)
 		}
@@ -215,7 +201,7 @@ func TestProbeRecordAndCapacity(t *testing.T) {
 func TestWriteJSON(t *testing.T) {
 	tr := New("run")
 	outer := tr.Begin("shards").Attr("count", 2)
-	inner := tr.Begin("wave").Attr("batch", 9)
+	inner := tr.Begin("round").Attr("batch", 9)
 	inner.End()
 	outer.End()
 	tr.Metric("pair_scans", 123)
@@ -265,7 +251,7 @@ func TestWriteJSON(t *testing.T) {
 	if len(out.Spans) != 1 || out.Spans[0].Name != "shards" || out.Spans[0].Attrs["count"] != 2 {
 		t.Fatalf("spans: %+v", out.Spans)
 	}
-	if len(out.Spans[0].Children) != 1 || out.Spans[0].Children[0].Name != "wave" || out.Spans[0].Children[0].Attrs["batch"] != 9 {
+	if len(out.Spans[0].Children) != 1 || out.Spans[0].Children[0].Name != "round" || out.Spans[0].Children[0].Attrs["batch"] != 9 {
 		t.Fatalf("nested span: %+v", out.Spans[0].Children)
 	}
 	if out.Metrics["pair_scans"] != 123 {

@@ -30,9 +30,9 @@
 //
 // # Batched consumption
 //
-// NextBatch exposes each round's disjoint merge set at once, which lets the
-// router execute the merge bodies concurrently (the pairs of one batch never
-// share a subtree) and commit results in batch order. Next remains the
+// NextBatch exposes each round's disjoint merge set at once (the pairs of
+// one batch never share a subtree); the router merges them in batch order
+// and registers the results with Merged in the same order. Next remains the
 // one-pair-at-a-time view of the same sequence; mixing the two mid-run is
 // supported, and both produce identical merge orders.
 package order
@@ -62,13 +62,6 @@ const (
 	// Greedy merges exactly one globally minimum-cost pair at a time
 	// (classic greedy-DME order).
 	Greedy
-	// GreedyBatch drains successive disjoint minimum pairs from the greedy
-	// heap into a batch before refreshing, amortizing the nearest-neighbor
-	// recomputations of new nodes into one parallel batch query per round.
-	// Unlike Greedy, nodes created within a batch cannot pair until the next
-	// round (the Multi trade-off at Greedy-like selection quality); unlike
-	// Multi, no full re-pairing of the live set happens per round.
-	GreedyBatch
 )
 
 // Pair is a candidate merge: item I paired with its best partner J at
@@ -102,10 +95,10 @@ type Pairer interface {
 
 // Config parameterizes a Queue.
 type Config struct {
-	// Strategy selects Multi (the default), Greedy, or GreedyBatch.
+	// Strategy selects Multi (the default) or Greedy.
 	Strategy Strategy
-	// BatchFraction is the fraction of live items merged per Multi or
-	// GreedyBatch round, in (0, 0.5]; 0 selects the default 0.5.
+	// BatchFraction is the fraction of live items merged per Multi round,
+	// in (0, 0.5]; 0 selects the default 0.5.
 	BatchFraction float64
 	// Key optionally overrides the pair priority. It receives the two item
 	// indices and their distance and returns the priority (lower merges
@@ -131,11 +124,10 @@ type Queue struct {
 	alive  []bool
 	live   int
 
-	// Greedy / GreedyBatch state.
-	h     pairHeap
-	fresh []int // GreedyBatch: ids inserted since the last heap refresh
+	// Greedy state.
+	h pairHeap
 
-	// Multi / GreedyBatch state.
+	// Multi state.
 	batch  []Pair
 	cursor int   // batch[:cursor] already handed out by Next
 	age    []int // rounds an item has survived unmerged (anti-starvation)
@@ -232,7 +224,7 @@ func New(cfg Config, n int, dist func(i, j int) float64) *Queue {
 		q.age = append(q.age, 0)
 		q.pairer.Insert(i)
 	}
-	if cfg.Strategy == Greedy || cfg.Strategy == GreedyBatch {
+	if cfg.Strategy == Greedy {
 		q.h.s = make([]Pair, 0, 2*n)
 		ids := make([]int, n)
 		for i := range ids {
@@ -265,7 +257,7 @@ func (q *Queue) pushNN(i int) {
 // Next returns the next pair of live items to merge. ok is false when fewer
 // than two items remain. The caller must mark the result of the merge with
 // Merged before the subsequent Next (Greedy) or after draining the current
-// batch (Multi, GreedyBatch).
+// batch (Multi).
 func (q *Queue) Next() (i, j int, ok bool) {
 	switch q.cfg.Strategy {
 	case Greedy:
@@ -273,21 +265,6 @@ func (q *Queue) Next() (i, j int, ok bool) {
 			return 0, 0, false
 		}
 		return q.nextGreedy()
-	case GreedyBatch:
-		// GreedyBatch retires the whole batch at selection, so pending
-		// batch pairs must be served before consulting the live count.
-		if q.cursor >= len(q.batch) {
-			if q.live < 2 {
-				return 0, 0, false
-			}
-			q.selectGreedyBatch()
-			if len(q.batch) == 0 {
-				return 0, 0, false
-			}
-		}
-		p := q.batch[q.cursor]
-		q.cursor++
-		return p.I, p.J, true
 	default:
 		if q.cursor >= len(q.batch) && q.live < 2 {
 			return 0, 0, false
@@ -298,9 +275,8 @@ func (q *Queue) Next() (i, j int, ok bool) {
 
 // NextBatch returns the next round's batch of disjoint merges, retiring all
 // its items, or nil when fewer than two items remain. Under Greedy the batch
-// always holds a single pair; under Multi and GreedyBatch it holds the whole
-// round. The pairs of one batch never share an item, so the caller may
-// execute the merge bodies concurrently; results must be registered with
+// always holds a single pair; under Multi it holds the whole round. The
+// pairs of one batch never share an item; results must be registered with
 // Merged in batch order. The returned slice is valid until the next
 // NextBatch or Next call.
 func (q *Queue) NextBatch() []Pair {
@@ -312,7 +288,7 @@ func (q *Queue) NextBatch() []Pair {
 
 // BatchTime reports the accumulated wall time of all NextBatch calls: the
 // run's pairing/selection cost. Greedy's incremental heap refreshes inside
-// Merged are not included (Greedy is not the batched strategies' path).
+// Merged are not included (Greedy is not the batched strategy's path).
 func (q *Queue) BatchTime() time.Duration { return q.batchTime }
 
 func (q *Queue) nextBatch() []Pair {
@@ -327,16 +303,6 @@ func (q *Queue) nextBatch() []Pair {
 		}
 		q.out = append(q.out[:0], Pair{I: i, J: j})
 		return q.out
-	case GreedyBatch:
-		if q.cursor >= len(q.batch) {
-			if q.live < 2 {
-				return nil
-			}
-			q.selectGreedyBatch()
-		}
-		rest := q.batch[q.cursor:] // pairs were retired at selection
-		q.cursor = len(q.batch)
-		return rest
 	default:
 		if q.cursor >= len(q.batch) {
 			if q.live < 2 {
@@ -392,41 +358,6 @@ func (q *Queue) nextMulti() (int, int, bool) {
 	q.cursor++
 	q.retire(p.I, p.J)
 	return p.I, p.J, true
-}
-
-// selectGreedyBatch drains up to ceil(live·BatchFraction) disjoint minimum
-// pairs from the greedy heap into q.batch, retiring them. Before selecting,
-// the nearest partners of all nodes registered since the last round are
-// computed in one batch query — the batched form of Greedy's per-merge heap
-// refresh, which shards across CPUs instead of issuing sequential queries.
-func (q *Queue) selectGreedyBatch() {
-	q.batch = q.batch[:0]
-	q.cursor = 0
-	if len(q.fresh) > 0 {
-		for _, p := range q.pairer.NearestAll(q.fresh) {
-			if p.J >= 0 {
-				q.h.push(p)
-			}
-		}
-		q.fresh = q.fresh[:0]
-	}
-	limit := int(math.Ceil(float64(q.live) * q.cfg.BatchFraction))
-	if limit < 1 {
-		limit = 1
-	}
-	for len(q.batch) < limit && q.h.len() > 0 {
-		p := q.h.pop()
-		ai, aj := q.alive[p.I], q.alive[p.J]
-		switch {
-		case ai && aj:
-			q.retire(p.I, p.J)
-			q.batch = append(q.batch, p)
-		case ai:
-			q.pushNN(p.I)
-		case aj:
-			q.pushNN(p.J)
-		}
-	}
 }
 
 // buildBatch computes the nearest-neighbor pairing of all live items and
@@ -534,11 +465,8 @@ func (q *Queue) Merged(newID int) {
 	q.age = append(q.age, 0)
 	q.live++
 	q.pairer.Insert(newID)
-	switch q.cfg.Strategy {
-	case Greedy:
+	if q.cfg.Strategy == Greedy {
 		q.pushNN(newID)
-	case GreedyBatch:
-		q.fresh = append(q.fresh, newID)
 	}
 }
 
@@ -637,11 +565,10 @@ func (w *WorkerPanic) Error() string {
 
 // ParallelChunksN is ParallelChunks with an explicit worker count and inline
 // threshold: n below minInline (or workers ≤ 1) runs f(0, n) on the calling
-// goroutine. Used by the router's parallel merge executor, whose worker
-// count is an option rather than GOMAXPROCS. A panicking chunk does not kill
-// the process: the remaining chunks finish, then the first captured panic is
-// re-raised on the calling goroutine as a *WorkerPanic (the inline path lets
-// the panic propagate directly — it is already on the caller).
+// goroutine. A panicking chunk does not kill the process: the remaining
+// chunks finish, then the first captured panic is re-raised on the calling
+// goroutine as a *WorkerPanic (the inline path lets the panic propagate
+// directly — it is already on the caller).
 func ParallelChunksN(n, workers, minInline int, f func(lo, hi int)) {
 	if n <= 0 {
 		return

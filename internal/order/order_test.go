@@ -165,34 +165,6 @@ func TestGreedyPicksShortestAmongRemaining(t *testing.T) {
 	}
 }
 
-func TestGreedyBatchMergesAll(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	pos := make([]float64, 100)
-	for i := range pos {
-		pos[i] = r.Float64() * 1e4
-	}
-	for _, frac := range []float64{0, 0.1, 0.5} {
-		seq := runAll(t, Config{Strategy: GreedyBatch, BatchFraction: frac}, pos)
-		if len(seq) != len(pos)-1 {
-			t.Fatalf("frac %v: merges = %d, want %d", frac, len(seq), len(pos)-1)
-		}
-		used := map[int]bool{}
-		for _, p := range seq {
-			for _, x := range p {
-				if used[x] {
-					t.Fatalf("item %d merged twice", x)
-				}
-				used[x] = true
-			}
-		}
-	}
-	// The first merge of the first batch is the globally closest pair.
-	seq := runAll(t, Config{Strategy: GreedyBatch}, []float64{0, 10, 11, 50, 52, 100})
-	if first := seq[0]; !(first == [2]int{1, 2} || first == [2]int{2, 1}) {
-		t.Errorf("first merge = %v, want {1,2}", first)
-	}
-}
-
 // drainBatches consumes a queue through NextBatch, simulating merges with
 // the same 1-D midpoint metric as runAll.
 func drainBatches(t *testing.T, cfg Config, pos []float64) [][2]int {
@@ -206,7 +178,7 @@ func drainBatches(t *testing.T, cfg Config, pos []float64) [][2]int {
 		if len(batch) == 0 {
 			break
 		}
-		// Batch pairs must be disjoint (the parallel-execution contract).
+		// Batch pairs must be disjoint (the NextBatch contract).
 		seen := map[int]bool{}
 		for _, p := range batch {
 			if seen[p.I] || seen[p.J] {
@@ -231,7 +203,7 @@ func TestNextBatchMatchesNext(t *testing.T) {
 	for i := range pos {
 		pos[i] = r.Float64() * 1e4
 	}
-	for _, st := range []Strategy{Greedy, Multi, GreedyBatch} {
+	for _, st := range []Strategy{Greedy, Multi} {
 		one := runAll(t, Config{Strategy: st}, pos)
 		batched := drainBatches(t, Config{Strategy: st}, pos)
 		if len(one) != len(batched) {

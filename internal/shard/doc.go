@@ -3,8 +3,8 @@
 // inter-group offset contract with a pilot pass, route every shard
 // concurrently with the core merge engine, then stitch the shard roots with
 // the same constraint machinery the intra-shard merges use. It is the
-// structural scaling step beyond sub-quadratic pairing and the parallel
-// merge wave — the shape that lets one route fan out across cores today and
+// structural scaling step beyond sub-quadratic pairing and parallel batch
+// pairing — the shape that lets one route fan out across cores today and
 // across machines later (each shard build is self-contained: a sink subset
 // plus a frozen registry snapshot in, a subtree out).
 //

@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/bench"
@@ -161,34 +162,36 @@ func TestPilotFullSampleDegenerates(t *testing.T) {
 // TestPilotDeterministicAcrossWorkers extends the Shards > 1 determinism
 // guarantee to the piloted pipeline: the pilot sample, the pilot route, the
 // prescribed offsets, and the aligned shard builds are all pure functions of
-// (instance, options, k), so merge-worker counts cannot leak into the tree.
+// (instance, options, k), so the GOMAXPROCS setting cannot leak into the
+// tree.
 func TestPilotDeterministicAcrossWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	in := bench.Intermingled(bench.Small(3000, 17), 3, 55)
 	opt := core.Options{Shards: 4, Pilot: true}
 	var wantWire, wantHash uint64
 	var wantOffs []float64
-	for _, workers := range []int{1, 4} {
-		opt.MergeWorkers = workers
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
 		res, err := Build(in, opt)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
 		wire := math.Float64bits(res.Wirelength)
 		hash := delayDigest(t, res.Root, in)
-		if workers == 1 {
+		if procs == 1 {
 			wantWire, wantHash, wantOffs = wire, hash, res.PilotOffsets
 			continue
 		}
 		if wire != wantWire || hash != wantHash {
-			t.Errorf("workers=%d diverged: wire 0x%016x vs 0x%016x, digest 0x%016x vs 0x%016x",
-				workers, wire, wantWire, hash, wantHash)
+			t.Errorf("GOMAXPROCS=%d diverged: wire 0x%016x vs 0x%016x, digest 0x%016x vs 0x%016x",
+				procs, wire, wantWire, hash, wantHash)
 		}
 		if len(res.PilotOffsets) != len(wantOffs) {
-			t.Fatalf("workers=%d: %d pilot offsets vs %d", workers, len(res.PilotOffsets), len(wantOffs))
+			t.Fatalf("GOMAXPROCS=%d: %d pilot offsets vs %d", procs, len(res.PilotOffsets), len(wantOffs))
 		}
 		for g, o := range res.PilotOffsets {
 			if math.Float64bits(o) != math.Float64bits(wantOffs[g]) {
-				t.Errorf("workers=%d: pilot offset[%d] = %v vs %v", workers, g, o, wantOffs[g])
+				t.Errorf("GOMAXPROCS=%d: pilot offset[%d] = %v vs %v", procs, g, o, wantOffs[g])
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/bench"
@@ -37,12 +38,12 @@ func delayDigest(t *testing.T, root *ctree.Node, in *ctree.Instance) uint64 {
 
 // TestShardsOneBitwiseIdentical pins the Shards=1 pipeline — partition,
 // BuildSubtree over the full sink set, trivial stitch — bitwise to the
-// unsharded core.Build across all three batching strategies, ZST and
+// unsharded core.Build across both batching strategies, ZST and
 // grouped AST-DME: same wirelength bits, same per-sink delay digest.
 func TestShardsOneBitwiseIdentical(t *testing.T) {
 	zst := bench.Small(600, 21)
 	grouped := bench.Intermingled(bench.Small(400, 33), 4, 99)
-	for _, strategy := range []order.Strategy{order.Multi, order.Greedy, order.GreedyBatch} {
+	for _, strategy := range []order.Strategy{order.Multi, order.Greedy} {
 		for _, inst := range []struct {
 			name string
 			in   *ctree.Instance
@@ -194,9 +195,11 @@ func TestShardedGroupedSkew(t *testing.T) {
 // TestShardedDeterministicAcrossWorkers pins the Shards > 1 guarantee: the
 // result is a pure function of (instance, options, k) — per-shard builds run
 // on private registry clones and the stitch order is fixed, so no goroutine
-// schedule can leak into the tree. Routing at 1 and 4 merge workers (the
-// shard goroutines themselves always run concurrently) must agree bitwise.
+// schedule can leak into the tree. Routing at GOMAXPROCS 1 and 4 (which
+// changes how the shard goroutines and the batch-pairing queries of every
+// sub-build interleave) must agree bitwise.
 func TestShardedDeterministicAcrossWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, inst := range []struct {
 		name string
 		in   *ctree.Instance
@@ -208,21 +211,21 @@ func TestShardedDeterministicAcrossWorkers(t *testing.T) {
 		opt := inst.opt
 		opt.Shards = 4
 		var wantWire, wantHash uint64
-		for _, workers := range []int{1, 4} {
-			opt.MergeWorkers = workers
+		for _, procs := range []int{1, 4} {
+			runtime.GOMAXPROCS(procs)
 			res, err := Build(inst.in, opt)
 			if err != nil {
-				t.Fatalf("%s/workers=%d: %v", inst.name, workers, err)
+				t.Fatalf("%s/GOMAXPROCS=%d: %v", inst.name, procs, err)
 			}
 			wire := math.Float64bits(res.Wirelength)
 			hash := delayDigest(t, res.Root, inst.in)
-			if workers == 1 {
+			if procs == 1 {
 				wantWire, wantHash = wire, hash
 				continue
 			}
 			if wire != wantWire || hash != wantHash {
-				t.Errorf("%s: workers=%d diverged: wire 0x%016x vs 0x%016x, digest 0x%016x vs 0x%016x",
-					inst.name, workers, wire, wantWire, hash, wantHash)
+				t.Errorf("%s: GOMAXPROCS=%d diverged: wire 0x%016x vs 0x%016x, digest 0x%016x vs 0x%016x",
+					inst.name, procs, wire, wantWire, hash, wantHash)
 			}
 		}
 	}

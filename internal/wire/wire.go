@@ -32,7 +32,7 @@ import (
 
 // Version tags the wire format. Bump on any layout change; decoders reject
 // other versions outright rather than guessing.
-const Version uint16 = 1
+const Version uint16 = 2
 
 // Message magic tags (work unit vs result), so one can never decode as the
 // other.
@@ -276,7 +276,6 @@ func encodeOptions(w *writer, o core.Options) error {
 	}
 	w.iv(int64(o.MaxSneakIter))
 	w.f64(o.SneakCostCap)
-	w.iv(int64(o.MergeWorkers))
 	return nil
 }
 
@@ -335,11 +334,10 @@ func decodeOptions(r *reader) (core.Options, error) {
 	}
 	o.MaxSneakIter = int(r.iv())
 	o.SneakCostCap = r.f64()
-	o.MergeWorkers = int(r.iv())
 	if r.err != nil {
 		return o, r.err
 	}
-	if o.Order.Strategy < order.Multi || o.Order.Strategy > order.GreedyBatch {
+	if o.Order.Strategy < order.Multi || o.Order.Strategy > order.Greedy {
 		return o, fmt.Errorf("wire: unknown order strategy %d", o.Order.Strategy)
 	}
 	if o.Pairer < core.PairerAuto || o.Pairer > core.PairerGrid {
@@ -348,9 +346,6 @@ func decodeOptions(r *reader) (core.Options, error) {
 	if o.PairerThreshold < 0 || o.MaxSneakIter < 0 {
 		return o, fmt.Errorf("wire: negative option (pairer threshold %d, sneak iter %d)",
 			o.PairerThreshold, o.MaxSneakIter)
-	}
-	if o.MergeWorkers < 0 || o.MergeWorkers > 1<<16 {
-		return o, fmt.Errorf("wire: merge workers %d out of range", o.MergeWorkers)
 	}
 	for _, f := range []float64{o.IntraSkewBound, o.InterSkewBound, o.GlobalBound,
 		o.Order.BatchFraction, o.DelayTargetBias, o.SneakCostCap} {
