@@ -25,6 +25,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/ctree"
+	"repro/internal/dispatch"
 	"repro/internal/eval"
 	"repro/internal/experiments"
 	"repro/internal/geom"
@@ -237,7 +238,7 @@ func BenchmarkOrderScaling(b *testing.B) {
 					var res *shard.Result
 					var err error
 					for i := 0; i < b.N; i++ {
-						res, err = shard.Build(bin, opt)
+						res, err = shard.BuildDispatch(bin, opt, dispatch.Options{})
 						if err != nil {
 							b.Fatal(err)
 						}

@@ -101,8 +101,9 @@ func main() {
 		}
 	}
 	if *pilot && in.NumGroups < 2 {
-		// shard.Build would skip the pass (nothing to prescribe); refuse the
-		// silently ignored flag like every other contradictory combination.
+		// shard.BuildDispatch would skip the pass (nothing to prescribe);
+		// refuse the silently ignored flag like every other contradictory
+		// combination.
 		fatal(fmt.Errorf("-pilot prescribes inter-group offsets, but %s has a single group; drop -pilot", in.Name))
 	}
 

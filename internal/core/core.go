@@ -175,9 +175,10 @@ type Options struct {
 	// is cut into Shards sub-instances routed concurrently and stitched
 	// skew-aware at the top (see internal/shard). The sharded pipeline lives
 	// above this package, so Build itself rejects Shards > 1 rather than
-	// silently ignoring it; callers wanting sharding go through shard.Build,
-	// which honors this field (0 = off, 1 = the sharded pipeline with a
-	// single shard — bitwise-identical to the unsharded build).
+	// silently ignoring it; callers wanting sharding go through
+	// shard.BuildDispatch, which honors this field (0 = off, 1 = the sharded
+	// pipeline with a single shard — bitwise-identical to the unsharded
+	// build).
 	Shards int
 	// Pilot requests the sharded pipeline's pilot offset pass: before the
 	// concurrent shard builds, a deterministic per-group sink sample is
@@ -188,10 +189,10 @@ type Options struct {
 	// once, not k times independently (without the pilot, shards commit
 	// contradictory offsets that only the stitch windows reconcile,
 	// degrading residual intra-group skew at shard seams). Like Shards, the
-	// pass lives in shard.Build; core.Build rejects the flag rather than
-	// silently ignoring it. Incompatible with SingleGroup (no inter-group
-	// offsets exist) and with explicit GroupOffsets (the caller already
-	// prescribed the contract).
+	// pass lives in shard.BuildDispatch; core.Build rejects the flag rather
+	// than silently ignoring it. Incompatible with SingleGroup (no
+	// inter-group offsets exist) and with explicit GroupOffsets (the caller
+	// already prescribed the contract).
 	Pilot bool
 	// Trace, when non-nil, records the run's phase timings (the "route"
 	// and "embed" spans) and exports the run's Stats as metrics into the
@@ -388,13 +389,13 @@ func Build(in *ctree.Instance, opt Options) (*Result, error) {
 		// The sharded pipeline lives in internal/shard (it layers the
 		// partitioner and top-level stitch over this package); refusing here
 		// keeps the flag from being silently ignored.
-		return nil, fmt.Errorf("core: Shards = %d requires the sharded builder; call shard.Build (core.Build routes unsharded)", opt.Shards)
+		return nil, fmt.Errorf("core: Shards = %d requires the sharded builder; call shard.BuildDispatch (core.Build routes unsharded)", opt.Shards)
 	}
 	if opt.Pilot {
 		// Likewise for the pilot offset pass: it exists to align shard
 		// builds, so requesting it on the unsharded path is a mistake worth
 		// surfacing rather than ignoring.
-		return nil, fmt.Errorf("core: Pilot requires the sharded pipeline; set Shards ≥ 1 and call shard.Build")
+		return nil, fmt.Errorf("core: Pilot requires the sharded pipeline; set Shards ≥ 1 and call shard.BuildDispatch")
 	}
 
 	reg, err := NewRegistry(in, opt)

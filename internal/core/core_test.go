@@ -480,12 +480,13 @@ func TestRegistryOffsets(t *testing.T) {
 }
 
 // TestPilotOptionRejections pins the flag-compatibility rules of the pilot
-// offset pass: core.Build refuses it outright (it lives in shard.Build), and
-// it cannot combine with SingleGroup or an explicit GroupOffsets contract.
+// offset pass: core.Build refuses it outright (it lives in
+// shard.BuildDispatch), and it cannot combine with SingleGroup or an explicit
+// GroupOffsets contract.
 func TestPilotOptionRejections(t *testing.T) {
 	in := bench.Intermingled(bench.Small(40, 3), 2, 5)
 	if _, err := Build(in, Options{Pilot: true}); err == nil {
-		t.Error("core.Build accepted Pilot instead of directing to shard.Build")
+		t.Error("core.Build accepted Pilot instead of directing to shard.BuildDispatch")
 	}
 	if _, err := NewRegistry(in, Options{Pilot: true, SingleGroup: true}); err == nil {
 		t.Error("Pilot + SingleGroup accepted")

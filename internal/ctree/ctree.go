@@ -62,8 +62,11 @@ func (in *Instance) Validate() error {
 	if len(in.Sinks) == 0 {
 		return fmt.Errorf("instance %q: no sinks", in.Name)
 	}
-	if in.NumGroups <= 0 {
-		return fmt.Errorf("instance %q: NumGroups = %d", in.Name, in.NumGroups)
+	// Every group must own a sink, so more groups than sinks is invalid —
+	// and bounding NumGroups before allocating keeps a corrupt count from
+	// untrusted input (JSON, wire caches) from exhausting memory.
+	if in.NumGroups <= 0 || in.NumGroups > len(in.Sinks) {
+		return fmt.Errorf("instance %q: NumGroups = %d for %d sinks", in.Name, in.NumGroups, len(in.Sinks))
 	}
 	seen := make([]bool, in.NumGroups)
 	for i, s := range in.Sinks {

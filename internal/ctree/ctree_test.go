@@ -28,6 +28,9 @@ func TestInstanceValidate(t *testing.T) {
 		{Name: "badgroup", Sinks: []Sink{sink(0, 0, 0, 1, 3)}, NumGroups: 2},
 		{Name: "negcap", Sinks: []Sink{sink(0, 0, 0, -1, 0)}, NumGroups: 1},
 		{Name: "emptygroup", Sinks: []Sink{sink(0, 0, 0, 1, 0)}, NumGroups: 2},
+		// More groups than sinks: rejected before the count sizes anything
+		// (this count used to be allocated and exhaust memory).
+		{Name: "hugegroups", Sinks: []Sink{sink(0, 0, 0, 1, 0)}, NumGroups: 400_000_000_000},
 	}
 	for _, in := range bad {
 		if err := in.Validate(); err == nil {

@@ -1,6 +1,6 @@
 // Package dispatch executes the sharded pipeline's sub-builds as retryable
 // tasks behind a Runner interface — the fault-tolerance layer between
-// shard.Build and the engines that execute its work. Two transports
+// shard.BuildDispatch and the engines that execute its work. Two transports
 // implement it: the in-process runner (a closure over core.BuildSubtree)
 // and the RemoteRunner, which ships work units to a WorkerPool of HTTP
 // routeworker processes and degrades gracefully back to the in-process
@@ -212,7 +212,7 @@ type Options struct {
 	// a FakeClock so retry/hedge suites run without real sleeps.
 	Clock Clock
 	// Remote, when non-nil, is the HTTP worker pool dispatch-aware
-	// pipelines route their executions through: shard.BuildDispatch wraps
+	// pipelines route their executions through: the shard pipeline wraps
 	// its phase runners in pool.Runner(...) when the field is set. Run
 	// itself never reads it — the coordinator stays transport-agnostic and
 	// sees a RemoteRunner as just another Runner.
@@ -236,8 +236,8 @@ type Report struct {
 	WorkersLost     int
 }
 
-// Add accumulates another dispatch's report (shard.Build sums its pilot and
-// shard phases into one per-run report).
+// Add accumulates another dispatch's report (shard.BuildDispatch sums its
+// pilot and shard phases into one per-run report).
 func (r *Report) Add(o Report) {
 	r.Tasks += o.Tasks
 	r.Attempts += o.Attempts

@@ -128,6 +128,39 @@ func TestRemoteRunnerFailsOverWithinOneExecution(t *testing.T) {
 	}
 }
 
+// TestRemoteRunnerCancelledRequestIsNotAWorkerFailure pins that a request
+// the caller cancels — a hedge loser, a deadline — does not count against
+// the worker: with BlacklistAfter 1, a build cancelled in flight leaves the
+// worker healthy. Counted, hedges under load could blacklist the only
+// surviving worker and push its tasks onto the in-process fallback.
+func TestRemoteRunnerCancelledRequestIsNotAWorkerFailure(t *testing.T) {
+	release := make(chan struct{})
+	mux := http.NewServeMux()
+	mux.HandleFunc(PathHealthz, func(rw http.ResponseWriter, r *http.Request) { rw.Write([]byte("ok\n")) })
+	mux.HandleFunc(PathBuild, func(rw http.ResponseWriter, r *http.Request) {
+		select { // a build that outlasts the caller's deadline
+		case <-release:
+		case <-r.Context().Done():
+		}
+	})
+	srv := httptest.NewServer(mux)
+	t.Cleanup(srv.Close)
+	t.Cleanup(func() { close(release) }) // runs first: unblock before Close waits
+	p := testPool(t, PoolOptions{BlacklistAfter: 1}, srv.URL)
+	r, err := p.Runner(echoConfig(localConst("local")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if _, err := r.Run(ctx, Task{}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Run = %v, want the caller's deadline", err)
+	}
+	if p.Healthy() != 1 || p.WorkersLost() != 0 {
+		t.Fatalf("healthy = %d, lost = %d after a cancelled request; want 1, 0", p.Healthy(), p.WorkersLost())
+	}
+}
+
 func TestRemoteRunnerFallsBackWhenFleetDown(t *testing.T) {
 	dead := httptest.NewServer(http.NewServeMux())
 	deadURL := dead.URL

@@ -16,7 +16,7 @@ import (
 // Edit operations. An edit script is the instio-level description of an
 // engineering change order (ECO): a small batch of sink mutations against a
 // previously routed instance, the input of the incremental rebuild path
-// (shard.EcoCache.Rebuild).
+// (shard.EcoCache.RebuildDispatch).
 const (
 	// OpMove relocates sink Sink to (X, Y).
 	OpMove = "move"

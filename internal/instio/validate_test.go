@@ -47,6 +47,16 @@ func TestReadRejectsEmptyInstance(t *testing.T) {
 	}
 }
 
+// TestReadRejectsGroupCountAboveSinks pins the group-count bound on load:
+// this 109-byte file used to end the process with an out-of-memory error
+// while validating its group count.
+func TestReadRejectsGroupCountAboveSinks(t *testing.T) {
+	const huge = `{"name":"x","source_x":0,"source_y":0,"num_groups":400000000000,"sinks":[{"x":0,"y":0,"cap_ff":1,"group":0}]}`
+	if _, err := ReadInstance(strings.NewReader(huge)); err == nil || !strings.Contains(err.Error(), "NumGroups") {
+		t.Fatalf("group count above the sink count: %v", err)
+	}
+}
+
 func TestReadSinkIDs(t *testing.T) {
 	base := `{"name":"x","source_x":0,"source_y":0,"num_groups":1,"sinks":[%s]}`
 	read := func(sinks string) error {

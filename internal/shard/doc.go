@@ -47,8 +47,8 @@
 // the stitch windows must reconcile the contradictions, degrading residual
 // intra-group skew at shard seams (measured up to ~51 ps on intermingled
 // uniform 10k at 8 shards, and into the thousands of ps on clustered
-// power-law placements). With core.Options.Pilot, Build decides the
-// contract once, up front: it routes a handful of deterministic sink
+// power-law placements). With core.Options.Pilot, BuildDispatch decides
+// the contract once, up front: it routes a handful of deterministic sink
 // samples with the unsharded engine, reads the offsets each commits back
 // out of its registry (core.Registry.Offsets), and prescribes the per-group
 // median to every shard and to the stitch through the existing GroupOffsets

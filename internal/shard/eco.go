@@ -3,14 +3,14 @@ package shard
 // Incremental (ECO) rerouting. A retained sharded build (BuildEco) leaves
 // behind an EcoCache: the partition, the frozen base registry with the pilot
 // offset contract baked in, and every shard's pre-stitch subtree in the
-// remote-dispatch result encoding. Rebuild applies an instio edit script
+// remote-dispatch result encoding. RebuildDispatch applies an edit script
 // (move/reload/add/remove sinks) to the cached instance, derives the dirty
 // shard set from the cached partition — an edited sink dirties the shard
 // that owns it; an added sink dirties the shard of its nearest surviving
 // neighbor, found through an incrementally patched spatial index over the
-// sink placements — and re-routes ONLY the dirty shards through the same
-// dispatch.Run path the from-scratch pipeline uses (retry, hedging, panic
-// containment and remote workers apply unchanged). Clean shards are adopted
+// sink placements — and runs the cold build's back half (pipeline in
+// shard.go) with ONLY the dirty shards routed: retry, hedging, panic
+// containment and remote workers apply unchanged. Clean shards are adopted
 // from the cache by decoding their blobs and remapping leaf identity to the
 // edited instance; all roots are then re-stitched with MergeRoots against a
 // fresh reconstruction of the frozen base, i.e. under the cached pilot
@@ -24,7 +24,7 @@ package shard
 // edited instance would produce for that shard. What the contract cannot
 // absorb — edits that empty a shard or leave no sink to anchor an addition —
 // surfaces as ErrFullBuild; edits that empty a group are rejected by
-// EditScript.Apply outright. Every Rebuild result chains: it carries a new
+// EditScript.Apply outright. Every rebuild result chains: it carries a new
 // EcoCache for the edited instance, so ECO sequences compound without ever
 // paying a full build.
 
@@ -32,9 +32,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime/pprof"
 	"sort"
-	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/ctree"
@@ -53,10 +51,10 @@ import (
 var ErrFullBuild = errors.New("shard: edits invalidate the cached contract; run a full build")
 
 // EcoCache is a retained incremental-rebuild contract (see the file
-// comment). It is produced by BuildEco and by every Rebuild, and survives
+// comment). It is produced by BuildEco and by every rebuild, and survives
 // process boundaries through Marshal/UnmarshalEcoCache. A cache is safe to
-// Rebuild repeatedly (each call re-derives its scratch state), but not from
-// concurrent goroutines.
+// rebuild from repeatedly, also after a failed rebuild (each call re-derives
+// its scratch state), but not from concurrent goroutines.
 type EcoCache struct {
 	// Instance is the routed instance the contract describes.
 	Instance *ctree.Instance
@@ -87,10 +85,10 @@ type EcoCache struct {
 
 	// Scratch state, derived lazily per rebuild: the sink→shard map of
 	// Parts, and a spatial index over the sink placements used to assign
-	// added sinks to shards. The index is patched incrementally as the edit
-	// script is walked and handed to the chained cache when sink identity
-	// survives the edit (no removals); a consumed or invalidated index is
-	// simply rebuilt on the next use.
+	// added sinks to shards. A rebuild takes the index out of the cache,
+	// patches it as the edit script is walked, and hands it only to the
+	// chained cache when sink identity survives the edit (no removals); a
+	// taken or invalidated index is simply rebuilt on the next use.
 	sinkShard []int
 	idx       *spatial.Index
 }
@@ -99,24 +97,21 @@ type EcoCache struct {
 // cancellation, the two option fields that never live in the cache.
 type RebuildOptions struct {
 	// Trace, when non-nil, records the rebuild's phase spans (dirty,
-	// rebuild, restitch, finalize) with per-dirty-shard child traces.
+	// rebuild, adopt, retain, restitch, finalize) with per-dirty-shard
+	// child traces.
 	Trace *obs.Trace
 	// Ctx cancels the rebuild (merge loops and dispatch alike).
 	Ctx context.Context
 }
 
-// Rebuild re-routes the cached instance under the edit script with the
-// default dispatch policy and no tracing. See RebuildDispatch.
-func (c *EcoCache) Rebuild(script *instio.EditScript) (*Result, error) {
-	return c.RebuildDispatch(script, RebuildOptions{}, dispatch.Options{})
-}
-
 // RebuildDispatch is the incremental rebuild (see the file comment): apply
-// the edit script, re-route the dirty shards through dispatch.Run, adopt the
-// clean shards from the cache, re-stitch under the cached pilot contract.
+// the edit script, then run the cold build's back half — re-route the dirty
+// shards, adopt the clean ones from the cache, chain the contract, and
+// re-stitch under the cached pilot contract.
 // The result is a full sharded Result for the edited instance — quality
 // metrics, per-shard attribution, dispatch report — plus EcoRebuilt/EcoReused
-// recording what was actually re-routed, and a chained EcoCache.
+// recording what was actually re-routed, and a chained EcoCache. The zero
+// RebuildOptions and dispatch.Options are the untraced default policy.
 func (c *EcoCache) RebuildDispatch(script *instio.EditScript, ropt RebuildOptions, dopt dispatch.Options) (*Result, error) {
 	k := len(c.Parts)
 	if k == 0 || len(c.Blobs) != k || c.Instance == nil {
@@ -130,14 +125,14 @@ func (c *EcoCache) RebuildDispatch(script *instio.EditScript, ropt RebuildOption
 	var rm *instio.Remap
 	var newParts [][]int
 	var dirtyIdx []int
-	var removals bool
+	var idx *spatial.Index
 	if err := dispatch.Protect("dirty", func() error {
 		var err error
 		edited, rm, err = script.Apply(c.Instance)
 		if err != nil {
 			return err
 		}
-		newParts, dirtyIdx, removals, err = c.dirtySet(script, rm)
+		newParts, dirtyIdx, idx, err = c.dirtySet(script, rm)
 		return err
 	}); err != nil {
 		return nil, err
@@ -147,12 +142,9 @@ func (c *EcoCache) RebuildDispatch(script *instio.EditScript, ropt RebuildOption
 	tr.Metric("eco_dirty_shards", float64(len(dirtyIdx)))
 	tr.Metric("eco_reused_shards", float64(k-len(dirtyIdx)))
 
-	// Re-derive the sub-build and per-shard options exactly as the
-	// from-scratch pipeline would for the edited instance.
-	subOpt := c.Opt
-	subOpt.Shards = 0
-	subOpt.Pilot = false
-	subOpt.Trace = nil
+	// Re-derive the sub-build options exactly as the from-scratch pipeline
+	// would for the edited instance, under the cached offset contract.
+	subOpt := subBuildOptions(c.Opt)
 	subOpt.Ctx = ropt.Ctx
 	if c.PilotOffsets != nil {
 		subOpt.GroupOffsets = c.PilotOffsets
@@ -161,206 +153,20 @@ func (c *EcoCache) RebuildDispatch(script *instio.EditScript, ropt RebuildOption
 	if err != nil {
 		return nil, err
 	}
-	shardOpt := deriveShardOpt(subOpt, k)
-
-	// ---- rebuild: dirty shards only, through the dispatch coordinator ----
-	m := len(dirtyIdx)
-	rebuildRgn := tr.Begin("rebuild").Attr("shards", float64(m))
-	dirtyParts := make([][]int, m)
-	for j, i := range dirtyIdx {
-		dirtyParts[j] = newParts[i]
-	}
-	shardTraces := make([]*obs.Trace, m)
-	if tr != nil {
-		for j, i := range dirtyIdx {
-			shardTraces[j] = tr.Child("shard" + strconv.Itoa(i))
-		}
-	}
-	local := dispatch.RunnerFunc(func(ctx context.Context, t dispatch.Task) (any, error) {
-		so := shardOpt
-		so.Ctx = ctx
-		if t.Attempt == 0 {
-			so.Trace = shardTraces[t.Index]
-		}
-		reg := base.Clone() // private view of the frozen base
-		var sub *core.Subtree
-		var err error
-		pprof.Do(ctx, pprof.Labels("shard", strconv.Itoa(dirtyIdx[t.Index])), func(context.Context) {
-			sub, err = core.BuildSubtree(edited, dirtyParts[t.Index], so, reg)
-		})
-		if err != nil {
-			return nil, err
-		}
-		return shardOut{sub: sub, reg: reg}, nil
-	})
-	var runner dispatch.Runner = local
-	if dopt.Remote != nil {
-		rr, err := newRemoteShardRunner(dopt.Remote, edited, shardOpt, base, dirtyParts, local, dopt.Faults)
-		if err != nil {
-			return nil, err
-		}
-		runner = rr
-	}
-	shardDopt := dopt
-	shardDopt.Phase = "shard"
-	shardDopt.Trace = tr
-	outs, disp, err := dispatch.Run(ropt.Ctx, m, runner, shardDopt)
-	for _, st := range shardTraces {
-		st.Close()
-	}
-	rebuildRgn.End()
-	if err != nil {
-		return nil, err
-	}
-
-	// Assemble the full shard set: dirty subtrees from the dispatch, clean
-	// subtrees decoded from the cache with leaf identity remapped onto the
-	// edited instance. Decoding yields fresh nodes every time, so the cache
-	// itself stays reusable.
-	subs := make([]*core.Subtree, k)
-	regs := make([]*core.Registry, k)
-	for j, i := range dirtyIdx {
-		so := outs[j].(shardOut)
-		subs[i], regs[i] = so.sub, so.reg
-	}
-	cleanRemap := make([][]int, k) // blob-origin → edited ids, clean shards only
-	if err := dispatch.Protect("rebuild", func() error {
-		for i := 0; i < k; i++ {
-			if subs[i] != nil {
-				continue // dirty, freshly built
-			}
-			// One decode pass lands the subtree directly in the edited id
-			// space: the blob's own pending remap (if it was chained past
-			// earlier edits) composed with this script's renumbering.
-			var pending []int
-			if c.remaps != nil {
-				pending = c.remaps[i]
-			}
-			cleanRemap[i] = composeRemap(pending, rm.OldToNew)
-			br, err := wire.DecodeResultRemapped(c.Blobs[i], edited, cleanRemap[i])
-			if err != nil {
-				return fmt.Errorf("shard: cached shard %d: %w", i, err)
-			}
-			if got := countLeaves(br.Root); got != len(newParts[i]) {
-				return fmt.Errorf("shard: cached shard %d: clean subtree has %d leaves, partition expects %d",
-					i, got, len(newParts[i]))
-			}
-			reg, err := core.NewRegistryFromSnapshot(br.Registry)
-			if err != nil {
-				return fmt.Errorf("shard: cached shard %d: %w", i, err)
-			}
-			subs[i] = &core.Subtree{Root: br.Root, Stats: br.Stats}
-			regs[i] = reg
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	roots := make([]*ctree.Node, k)
-	for i, s := range subs {
-		roots[i] = s.Root
-	}
-
-	// Chain the contract BEFORE the stitch mutates the roots, exactly like
-	// the retaining build. Only the dirty shards pay an encode: a clean
-	// shard's subtree is untouched geometry, so its cached bytes are chained
-	// verbatim with the composed renumbering left pending for the next decode.
-	newBlobs := make([][]byte, k)
-	newRemaps := make([][]int, k)
-	chained := false
-	if err := dispatch.Protect("retain", func() error {
-		for i, s := range subs {
-			if cleanRemap[i] != nil {
-				newBlobs[i], newRemaps[i] = c.Blobs[i], cleanRemap[i]
-				chained = true
-				continue
-			}
-			br := wire.BuildResult{
-				Root:       s.Root,
-				Stats:      s.Stats,
-				Wirelength: roots[i].Wirelength(),
-				Registry:   regs[i].Snapshot(),
-			}
-			b, err := br.Encode()
-			if err != nil {
-				return err
-			}
-			newBlobs[i] = b
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	if !chained {
-		newRemaps = nil
-	}
-
-	// ---- restitch: all roots under the cached pilot contract ----
-	topReg := base
-	if k == 1 {
-		topReg = regs[0]
-	}
-	stitchRgn := tr.Begin("restitch")
-	stitchOpt := subOpt
-	if tr != nil {
-		stitchOpt.Trace = tr.Child("stitch")
-	}
-	var top *core.Subtree
-	err = dispatch.Protect("stitch", func() error {
-		var err error
-		top, err = core.MergeRoots(edited, roots, stitchOpt, topReg)
-		return err
-	})
-	stitchOpt.Trace.Close()
-	stitchRgn.End()
-	if err != nil {
-		return nil, err
-	}
-
-	finRgn := tr.Begin("finalize")
 	res := &Result{
-		Result: core.Result{
-			Instance: edited,
-			Root:     top.Root,
-			Options:  c.Opt,
-		},
-		Shards:       make([]ShardInfo, k),
-		StitchStats:  top.Stats,
-		Parts:        newParts,
+		Result:       core.Result{Options: c.Opt},
 		PilotOffsets: c.PilotOffsets,
 		PilotSinks:   c.PilotSinks,
 		Trace:        tr,
-		Dispatch:     disp,
 		EcoRebuilt:   dirtyIdx,
-		EcoReused:    k - m,
+		EcoReused:    k - len(dirtyIdx),
 	}
-	if err := dispatch.Protect("finalize", func() error {
-		return finalizeResult(res, edited, subs, roots, newParts, top, base, core.Stats{})
-	}); err != nil {
+	p := pipeline{in: edited, parts: newParts, subOpt: subOpt, base: base, dirty: dirtyIdx,
+		from: c, oldToNew: rm.OldToNew, retain: true}
+	if res, err = p.run(res, dopt); err != nil {
 		return nil, err
 	}
-	finRgn.End()
-
-	res.Eco = &EcoCache{
-		Instance:     edited,
-		Opt:          c.Opt,
-		Parts:        newParts,
-		Base:         c.Base,
-		PilotOffsets: c.PilotOffsets,
-		PilotSinks:   c.PilotSinks,
-		Blobs:        newBlobs,
-		remaps:       newRemaps,
-	}
-	if !removals {
-		// Sink identity survived the edits (adds extended it densely), so
-		// the patched index is exactly the edited instance's — hand it to
-		// the chained cache instead of rebuilding it there. After removals
-		// ids shifted and the index is wrong for either cache; drop it.
-		res.Eco.idx = c.idx
-	}
-	// The walked index was mutated by this rebuild; the next use of THIS
-	// cache must re-derive it (dirtySet rebuilds a nil index lazily).
-	c.idx = nil
+	res.Eco.idx = idx
 	return res, nil
 }
 
@@ -371,9 +177,17 @@ func (c *EcoCache) RebuildDispatch(script *instio.EditScript, ropt RebuildOption
 // sinks are deleted from it before later additions query, moved sinks are
 // re-filed at their new placement, and each added sink is filed immediately
 // so a subsequent addition can cluster onto it). Returns the partition in
-// edited-instance sink ids, the ascending dirty shard indices, and whether
-// the script removed any sink.
-func (c *EcoCache) dirtySet(script *instio.EditScript, rm *instio.Remap) (newParts [][]int, dirtyIdx []int, removals bool, err error) {
+// edited-instance sink ids, the ascending dirty shard indices, and the
+// patched index for the chained cache.
+//
+// The walk takes the index out of the cache before patching it, so this
+// cache never keeps an index edited by a script it did not absorb — a failed
+// rebuild leaves it exactly as a fresh decode of it would be. The index is
+// handed on only when sink identity survived the edits (no removals; adds
+// extend the ids densely) and it is therefore exactly the edited instance's;
+// after removals ids shifted and it is wrong for either cache, so it is
+// dropped and the next use rebuilds it.
+func (c *EcoCache) dirtySet(script *instio.EditScript, rm *instio.Remap) (newParts [][]int, dirtyIdx []int, idx *spatial.Index, err error) {
 	k := len(c.Parts)
 	nOld := len(c.Instance.Sinks)
 	if c.sinkShard == nil {
@@ -384,37 +198,39 @@ func (c *EcoCache) dirtySet(script *instio.EditScript, rm *instio.Remap) (newPar
 			}
 		}
 	}
-	if c.idx == nil {
+	idx, c.idx = c.idx, nil
+	if idx == nil {
 		boxes := make([]geom.Rect, nOld)
 		for i := range c.Instance.Sinks {
 			boxes[i] = geom.RectFromPoint(c.Instance.Sinks[i].Loc)
 		}
-		c.idx = spatial.New(spatial.DensityCell(boxes))
-		c.idx.InsertAll(boxes)
+		idx = spatial.New(spatial.DensityCell(boxes))
+		idx.InsertAll(boxes)
 	}
 
 	dirty := make([]bool, k)
+	removals := false
 	var addShard []int // shard assigned to each addition, in script order
 	nextID := nOld     // index ids for additions: dense continuation of the old ids
 	for _, e := range script.Edits {
 		switch e.Op {
 		case instio.OpMove:
 			dirty[c.sinkShard[e.Sink]] = true
-			c.idx.Delete(e.Sink)
-			c.idx.Insert(e.Sink, geom.RectFromPoint(e.Loc))
+			idx.Delete(e.Sink)
+			idx.Insert(e.Sink, geom.RectFromPoint(e.Loc))
 		case instio.OpReload:
 			dirty[c.sinkShard[e.Sink]] = true
 		case instio.OpRemove:
 			dirty[c.sinkShard[e.Sink]] = true
-			c.idx.Delete(e.Sink)
+			idx.Delete(e.Sink)
 			removals = true
 		case instio.OpAdd:
 			q := geom.RectFromPoint(e.Loc)
-			nb, _, ok := c.idx.Nearest(q, nil, func(id int) float64 {
-				return geom.DistRR(q, c.idx.Box(id))
+			nb, _, ok := idx.Nearest(q, nil, func(id int) float64 {
+				return geom.DistRR(q, idx.Box(id))
 			})
 			if !ok {
-				return nil, nil, false, fmt.Errorf("%w (no surviving sink to anchor an added one)", ErrFullBuild)
+				return nil, nil, nil, fmt.Errorf("%w (no surviving sink to anchor an added one)", ErrFullBuild)
 			}
 			sh := 0
 			if nb < nOld {
@@ -424,7 +240,7 @@ func (c *EcoCache) dirtySet(script *instio.EditScript, rm *instio.Remap) (newPar
 			}
 			dirty[sh] = true
 			addShard = append(addShard, sh)
-			c.idx.Insert(nextID, q)
+			idx.Insert(nextID, q)
 			nextID++
 		}
 	}
@@ -447,14 +263,43 @@ func (c *EcoCache) dirtySet(script *instio.EditScript, rm *instio.Remap) (newPar
 	}
 	for i := range newParts {
 		if len(newParts[i]) == 0 {
-			return nil, nil, false, fmt.Errorf("%w (edits emptied shard %d)", ErrFullBuild, i)
+			return nil, nil, nil, fmt.Errorf("%w (edits emptied shard %d)", ErrFullBuild, i)
 		}
 		if dirty[i] {
 			dirtyIdx = append(dirtyIdx, i)
 		}
 	}
 	sort.Ints(dirtyIdx)
-	return newParts, dirtyIdx, removals, nil
+	if removals {
+		idx = nil
+	}
+	return newParts, dirtyIdx, idx, nil
+}
+
+// adopt decodes clean shard i straight into the edited instance in: one
+// decode pass applies the blob's own pending renumbering (if it was chained
+// past earlier edits) composed with the script's oldToNew. It also returns
+// that composed renumbering, which the chained cache keeps pending for the
+// bytes it carries forward.
+func (c *EcoCache) adopt(i int, in *ctree.Instance, oldToNew []int, sinks int) (*core.Subtree, *core.Registry, []int, error) {
+	var pending []int
+	if c.remaps != nil {
+		pending = c.remaps[i]
+	}
+	remap := composeRemap(pending, oldToNew)
+	br, err := wire.DecodeResultRemapped(c.Blobs[i], in, remap)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("shard: cached shard %d: %w", i, err)
+	}
+	if got := countLeaves(br.Root); got != sinks {
+		return nil, nil, nil, fmt.Errorf("shard: cached shard %d: clean subtree has %d leaves, partition expects %d",
+			i, got, sinks)
+	}
+	reg, err := core.NewRegistryFromSnapshot(br.Registry)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("shard: cached shard %d: %w", i, err)
+	}
+	return &core.Subtree{Root: br.Root, Stats: br.Stats}, reg, remap, nil
 }
 
 // composeRemap carries a pending blob renumbering forward through an edit
@@ -513,13 +358,10 @@ func (c *EcoCache) Marshal() ([]byte, error) {
 			}
 		}
 	}
-	opt := c.Opt
-	opt.Shards = 0
-	opt.Pilot = false
 	wc := &wire.Cache{
 		Shards:     len(c.Parts),
 		Pilot:      c.Opt.Pilot,
-		Opt:        stripLocalOnly(opt),
+		Opt:        stripLocalOnly(subBuildOptions(c.Opt)),
 		Instance:   c.Instance,
 		Parts:      c.Parts,
 		Base:       c.Base,

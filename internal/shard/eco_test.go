@@ -57,7 +57,7 @@ func TestEcoNoopRebuild(t *testing.T) {
 	if full.Eco == nil || len(full.Eco.Blobs) != 4 {
 		t.Fatalf("retained build carries no eco contract: %+v", full.Eco)
 	}
-	res, err := full.Eco.Rebuild(&instio.EditScript{})
+	res, err := full.Eco.RebuildDispatch(&instio.EditScript{}, RebuildOptions{}, dispatch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func ecoDifferential(t *testing.T, n, k int) {
 		t.Fatal(err)
 	}
 	script := ecoScript(in, full.Parts)
-	res, err := full.Eco.Rebuild(script)
+	res, err := full.Eco.RebuildDispatch(script, RebuildOptions{}, dispatch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func ecoDifferential(t *testing.T, n, k int) {
 	if ratio := res.Wirelength / ref.Wirelength; ratio > wireEnvelope {
 		t.Errorf("wirelength ratio %.4f vs unsharded exceeds envelope %v", ratio, wireEnvelope)
 	}
-	scratch, err := Build(edited, core.Options{Shards: k, Pilot: true})
+	scratch, err := BuildDispatch(edited, core.Options{Shards: k, Pilot: true}, dispatch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func ecoDifferential(t *testing.T, n, k int) {
 	// Determinism: the same cache absorbs the same script again (the
 	// scratch index was consumed by the first rebuild and is re-derived),
 	// bitwise.
-	again, err := full.Eco.Rebuild(script)
+	again, err := full.Eco.RebuildDispatch(script, RebuildOptions{}, dispatch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestEcoChainedRebuild(t *testing.T) {
 		{Op: instio.OpMove, Sink: p[0][0], Loc: geom.Point{X: in.Sinks[p[0][0]].Loc.X + 10, Y: in.Sinks[p[0][0]].Loc.Y}},
 		{Op: instio.OpAdd, Loc: in.Sinks[p[2][0]].Loc, CapFF: 1, Group: in.Sinks[p[2][0]].Group},
 	}}
-	r1, err := full.Eco.Rebuild(s1)
+	r1, err := full.Eco.RebuildDispatch(s1, RebuildOptions{}, dispatch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestEcoChainedRebuild(t *testing.T) {
 		{Op: instio.OpRemove, Sink: r1.Parts[1][0]},
 		{Op: instio.OpAdd, Loc: e1.Sinks[r1.Parts[3][0]].Loc, CapFF: 1, Group: e1.Sinks[r1.Parts[3][0]].Group},
 	}}
-	r2, err := r1.Eco.Rebuild(s2)
+	r2, err := r1.Eco.RebuildDispatch(s2, RebuildOptions{}, dispatch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,11 +243,11 @@ func TestEcoChainedRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q1, err := full2.Eco.Rebuild(s1)
+	q1, err := full2.Eco.RebuildDispatch(s1, RebuildOptions{}, dispatch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	q2, err := q1.Eco.Rebuild(s2)
+	q2, err := q1.Eco.RebuildDispatch(s2, RebuildOptions{}, dispatch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,11 +277,11 @@ func TestEcoCacheRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	script := ecoScript(in, full.Parts)
-	want, err := full.Eco.Rebuild(script)
+	want, err := full.Eco.RebuildDispatch(script, RebuildOptions{}, dispatch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := cache.Rebuild(script)
+	got, err := cache.RebuildDispatch(script, RebuildOptions{}, dispatch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,11 +304,11 @@ func TestEcoCacheRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	hop := ecoScript(want.Instance, want.Parts)
-	want2, err := want.Eco.Rebuild(hop)
+	want2, err := want.Eco.RebuildDispatch(hop, RebuildOptions{}, dispatch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got2, err := chainCache.Rebuild(hop)
+	got2, err := chainCache.RebuildDispatch(hop, RebuildOptions{}, dispatch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +350,7 @@ func TestEcoInvalidation(t *testing.T) {
 	for _, s := range full.Parts[2] {
 		edits = append(edits, instio.Edit{Op: instio.OpRemove, Sink: s})
 	}
-	_, err = full.Eco.Rebuild(&instio.EditScript{Edits: edits})
+	_, err = full.Eco.RebuildDispatch(&instio.EditScript{Edits: edits}, RebuildOptions{}, dispatch.Options{})
 	if err == nil {
 		t.Fatal("emptied shard accepted")
 	}
@@ -360,20 +360,65 @@ func TestEcoInvalidation(t *testing.T) {
 		t.Logf("emptied shard rejected by apply instead: %v", err)
 	}
 
-	if _, err := full.Eco.Rebuild(&instio.EditScript{Edits: []instio.Edit{
+	if _, err := full.Eco.RebuildDispatch(&instio.EditScript{Edits: []instio.Edit{
 		{Op: instio.OpMove, Sink: len(in.Sinks) + 5, Loc: geom.Point{X: 1, Y: 1}},
-	}}); err == nil {
+	}}, RebuildOptions{}, dispatch.Options{}); err == nil {
 		t.Error("unknown sink id accepted")
 	}
 
 	bad := &EcoCache{Instance: in}
-	if _, err := bad.Rebuild(&instio.EditScript{}); err == nil {
+	if _, err := bad.RebuildDispatch(&instio.EditScript{}, RebuildOptions{}, dispatch.Options{}); err == nil {
 		t.Error("malformed cache accepted")
 	}
 
 	if _, err := BuildEco(in, core.Options{}, dispatch.Options{}); err == nil {
 		t.Error("BuildEco without Shards accepted (nothing to retain against)")
 	}
+}
+
+// TestEcoFailedRebuildLeavesCacheIntact pins that a failed rebuild leaves
+// its cache as it found it. Emptying shard 2 fails with ErrFullBuild after
+// the removals were walked into the cache's spatial index; a later addition
+// on top of a former shard-2 sink must still join shard 2, bitwise as on a
+// fresh decode of the same cache.
+func TestEcoFailedRebuildLeavesCacheIntact(t *testing.T) {
+	in := ecoInstance(2000, 3)
+	full, err := BuildEco(in, core.Options{Shards: 4, Pilot: true}, dispatch.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := full.Eco.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := UnmarshalEcoCache(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var edits []instio.Edit
+	for _, s := range full.Parts[2] {
+		edits = append(edits, instio.Edit{Op: instio.OpRemove, Sink: s})
+	}
+	if _, err := full.Eco.RebuildDispatch(&instio.EditScript{Edits: edits}, RebuildOptions{}, dispatch.Options{}); !errors.Is(err, ErrFullBuild) {
+		t.Fatalf("emptying shard 2: %v, want ErrFullBuild", err)
+	}
+	anchor := in.Sinks[full.Parts[2][0]]
+	add := &instio.EditScript{Edits: []instio.Edit{
+		{Op: instio.OpAdd, Loc: anchor.Loc, CapFF: anchor.CapFF, Group: anchor.Group},
+	}}
+	got, err := full.Eco.RebuildDispatch(add, RebuildOptions{}, dispatch.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.RebuildDispatch(add, RebuildOptions{}, dispatch.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got.EcoRebuilt) != "[2]" || fmt.Sprint(want.EcoRebuilt) != "[2]" {
+		t.Errorf("addition on a shard-2 sink rebuilt %v after the failed rebuild, %v on a fresh cache; want [2]",
+			got.EcoRebuilt, want.EcoRebuilt)
+	}
+	assertIdentical(t, "after failed rebuild", got, want, want.Instance)
 }
 
 // TestEcoDispatchPath pins that rebuilds flow through the dispatch
@@ -387,7 +432,7 @@ func TestEcoDispatchPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	script := ecoScript(in, full.Parts)
-	clean, err := full.Eco.Rebuild(script)
+	clean, err := full.Eco.RebuildDispatch(script, RebuildOptions{}, dispatch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,8 +455,8 @@ func TestEcoDispatchPath(t *testing.T) {
 }
 
 // TestEcoTraceSpans pins the observability contract: a traced rebuild
-// records the dirty/rebuild/restitch/finalize phases and per-dirty-shard
-// child traces.
+// records the dirty/rebuild/adopt/retain/restitch/finalize phases and
+// per-dirty-shard child traces.
 func TestEcoTraceSpans(t *testing.T) {
 	in := ecoInstance(2000, 3)
 	full, err := BuildEco(in, core.Options{Shards: 4, Pilot: true}, dispatch.Options{})
@@ -428,7 +473,7 @@ func TestEcoTraceSpans(t *testing.T) {
 	for _, p := range tr.Summary().Phases {
 		have[p.Name] = true
 	}
-	for _, span := range []string{"dirty", "rebuild", "restitch", "finalize"} {
+	for _, span := range []string{"dirty", "rebuild", "adopt", "retain", "restitch", "finalize"} {
 		if !have[span] {
 			t.Errorf("rebuild trace missing span %q (have %v)", span, tr.Summary().Phases)
 		}
@@ -448,4 +493,37 @@ func TestEcoTraceSpans(t *testing.T) {
 	if v, ok := tr.MetricValue("eco_dirty_shards"); !ok || int(v) != len(res.EcoRebuilt) {
 		t.Errorf("eco_dirty_shards metric = %v, %v; want %d", v, ok, len(res.EcoRebuilt))
 	}
+}
+
+// TestEcoTraceAccountsForWallTime is the rebuild's counterpart of
+// TestTraceAccountsForWallTime: on a 20k-sink 8-shard piloted cache and a
+// Perturb(0.001) script, the rebuild's top-level spans must account for
+// ≥ 95% of its wall time (clean-shard adoption and chain encoding included).
+func TestEcoTraceAccountsForWallTime(t *testing.T) {
+	if testing.Short() {
+		t.Skip("20k sink build")
+	}
+	in := ecoInstance(20_000, 4)
+	full, err := BuildEco(in, core.Options{Shards: 8, Pilot: true}, dispatch.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	script, err := instio.Perturb(in, 0.001, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.New("eco")
+	res, err := full.Eco.RebuildDispatch(script, RebuildOptions{Trace: tr}, dispatch.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Close()
+	s := tr.Summary()
+	if s.WallMS <= 0 {
+		t.Fatal("no wall time recorded")
+	}
+	if cov := s.CoveredMS / s.WallMS; cov < 0.95 {
+		t.Fatalf("rebuild phases cover %.1f%% of wall time, want ≥ 95%% (%s)", 100*cov, tr.Report())
+	}
+	t.Logf("shards rebuilt %v: %s", res.EcoRebuilt, tr.Report())
 }

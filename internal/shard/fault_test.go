@@ -46,7 +46,7 @@ func TestFaultedShardedBitwiseIdentical(t *testing.T) {
 	in := groupedInstance("uniform", 10_000, 4)
 	for _, k := range []int{2, 4, 8} {
 		opt := core.Options{Shards: k, Pilot: true, Pairer: core.PairerGrid}
-		ref, err := Build(in, opt)
+		ref, err := BuildDispatch(in, opt, dispatch.Options{})
 		if err != nil {
 			t.Fatalf("shards=%d: fault-free: %v", k, err)
 		}
@@ -83,7 +83,7 @@ func TestFaultedShardedBitwiseIdentical(t *testing.T) {
 func TestFaultedChaosSeedsSmall(t *testing.T) {
 	in := bench.Intermingled(bench.Small(600, 21), 3, 55)
 	opt := core.Options{Shards: 2, Pilot: true}
-	ref, err := Build(in, opt)
+	ref, err := BuildDispatch(in, opt, dispatch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestFaultedPilotPanicSurfacesAsError(t *testing.T) {
 func TestFaultedTransientRecoversInvisibly(t *testing.T) {
 	in := bench.Small(600, 21)
 	opt := core.Options{SingleGroup: true, Shards: 2}
-	ref, err := Build(in, opt)
+	ref, err := BuildDispatch(in, opt, dispatch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestShardedCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	_, err := Build(in, core.Options{SingleGroup: true, Shards: 4, Ctx: ctx})
+	_, err := BuildDispatch(in, core.Options{SingleGroup: true, Shards: 4, Ctx: ctx}, dispatch.Options{})
 	if err == nil {
 		t.Fatal("sharded build under a dead context returned nil error")
 	}
@@ -234,7 +234,7 @@ func TestHedgedStragglerBitwiseAndObservable(t *testing.T) {
 	const k = 4
 	in := bench.Small(3000, 17)
 	opt := core.Options{SingleGroup: true, Shards: k}
-	ref, err := Build(in, opt)
+	ref, err := BuildDispatch(in, opt, dispatch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestHedgedStragglerBitwiseAndObservable(t *testing.T) {
 func TestFaultedTracedRun(t *testing.T) {
 	in := bench.Intermingled(bench.Small(600, 21), 3, 55)
 	opt := core.Options{Shards: 2, Pilot: true}
-	ref, err := Build(in, opt)
+	ref, err := BuildDispatch(in, opt, dispatch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

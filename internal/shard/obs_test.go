@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/dispatch"
 	"repro/internal/eval"
 	"repro/internal/obs"
 )
@@ -15,12 +16,12 @@ import (
 func TestTracedShardedBitwiseIdentical(t *testing.T) {
 	in := bench.Intermingled(bench.Small(600, 21), 4, 77)
 	opt := core.Options{IntraSkewBound: 0, Shards: 3, Pilot: true}
-	plain, err := Build(in, opt)
+	plain, err := BuildDispatch(in, opt, dispatch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt.Trace = obs.New("test")
-	traced, err := Build(in, opt)
+	traced, err := BuildDispatch(in, opt, dispatch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,12 +46,12 @@ func TestTraceAccountsForWallTime(t *testing.T) {
 	}
 	in := bench.Intermingled(bench.Small(10000, 9), 4, 9009)
 	tr := obs.New("acceptance")
-	res, err := Build(in, core.Options{
+	res, err := BuildDispatch(in, core.Options{
 		IntraSkewBound: 0,
 		Shards:         4,
 		Pilot:          true,
 		Trace:          tr,
-	})
+	}, dispatch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,16 +1,14 @@
 package shard
 
 import (
-	"context"
 	"fmt"
 	"sort"
-	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/ctree"
 	"repro/internal/dispatch"
 	"repro/internal/geom"
-	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // Pilot sample geometry. The estimator is a median over pilotPatches
@@ -178,8 +176,12 @@ func runPilot(in *ctree.Instance, opt core.Options, dopt dispatch.Options) (offs
 		p = len(in.Sinks)
 	}
 	parts := Partition(in, p)
+	// A remote patch route starts from a fresh registry (remote.go).
+	fresh, err := core.NewRegistry(in, opt)
+	if err != nil {
+		return nil, stats, sinks, rep, err
+	}
 	dopt.Phase = "pilot"
-	dopt.Trace = opt.Trace
 	for q := pilotPatchSinks; ; q *= 4 {
 		// Samples are computed serially up front: they are cheap relative to
 		// their routes, and the first sample that degenerates to the full
@@ -196,59 +198,40 @@ func runPilot(in *ctree.Instance, opt core.Options, dopt dispatch.Options) (offs
 
 		// One child trace per patch route (spans and metrics of the patch's
 		// own build nest under it; the pilot trace aggregates over children
-		// via MetricValue). Only a patch's first attempt records — the trace
-		// contract is single-goroutine per node, and retries/hedges may race
-		// the attempt they replace.
-		patchTraces := make([]*obs.Trace, len(samples))
-		if opt.Trace != nil {
-			for pi := range patchTraces {
-				patchTraces[pi] = opt.Trace.Child("patch" + strconv.Itoa(pi))
-			}
+		// via MetricValue).
+		patches := tasks{
+			in: in, opt: opt, sets: samples, ids: seq(len(samples)), label: "patch",
+			local: func(sample []int, po core.Options) (any, error) {
+				reg, err := core.NewRegistry(in, po)
+				if err != nil {
+					return nil, err
+				}
+				var out pilotOut
+				sub, err := core.BuildSubtree(in, sample, po, reg)
+				if err != nil {
+					return nil, err
+				}
+				out.stats.AddRun(sub.Stats)
+				// Commit the patch root (BuildSubtree leaves it deferred):
+				// resolving it registers the offsets of every group pair the
+				// patch relates, exactly as core.Build's final step would.
+				top, err := core.MergeRoots(in, []*ctree.Node{sub.Root}, po, reg)
+				if err != nil {
+					return nil, err
+				}
+				out.stats.AddRun(top.Stats)
+				out.est, out.offsErr = reg.Offsets()
+				return out, nil
+			},
+			kind: wire.KindPatch, reg: fresh,
+			result: func(br *wire.BuildResult, reg *core.Registry) any {
+				out := pilotOut{stats: br.Stats}
+				out.est, out.offsErr = reg.Offsets()
+				return out
+			},
 		}
-		local := dispatch.RunnerFunc(func(ctx context.Context, t dispatch.Task) (any, error) {
-			po := opt
-			po.Ctx = ctx
-			po.Trace = nil
-			if t.Attempt == 0 {
-				po.Trace = patchTraces[t.Index]
-			}
-			reg, err := core.NewRegistry(in, po)
-			if err != nil {
-				return nil, err
-			}
-			var out pilotOut
-			sub, err := core.BuildSubtree(in, samples[t.Index], po, reg)
-			if err != nil {
-				return nil, err
-			}
-			out.stats.AddRun(sub.Stats)
-			// Commit the patch root (BuildSubtree leaves it deferred):
-			// resolving it registers the offsets of every group pair the
-			// patch relates, exactly as core.Build's final step would.
-			top, err := core.MergeRoots(in, []*ctree.Node{sub.Root}, po, reg)
-			if err != nil {
-				return nil, err
-			}
-			out.stats.AddRun(top.Stats)
-			out.est, out.offsErr = reg.Offsets()
-			return out, nil
-		})
-		// With a worker pool attached, patch routes ship to routeworkers
-		// (KindPatch work units over a fresh-registry snapshot) and degrade
-		// back to the local runner when the fleet cannot take them.
-		var runner dispatch.Runner = local
-		if dopt.Remote != nil {
-			rr, rerr := newRemotePilotRunner(dopt.Remote, in, opt, samples, local, dopt.Faults)
-			if rerr != nil {
-				return nil, stats, sinks, rep, rerr
-			}
-			runner = rr
-		}
-		outs, prep, err := dispatch.Run(opt.Ctx, len(samples), runner, dopt)
+		outs, prep, err := patches.run(opt.Trace, dopt)
 		rep.Add(prep)
-		for _, pt := range patchTraces {
-			pt.Close()
-		}
 		if err != nil {
 			return nil, stats, sinks, rep, err
 		}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/ctree"
+	"repro/internal/dispatch"
 	"repro/internal/eval"
 )
 
@@ -100,7 +101,7 @@ func TestPilotSeamSkewImproves(t *testing.T) {
 				label := fmt.Sprintf("%s/n=%d/shards=%d", dist, n, k)
 				seam := map[bool]float64{}
 				for _, pilot := range []bool{false, true} {
-					res, err := Build(in, core.Options{Shards: k, Pilot: pilot})
+					res, err := BuildDispatch(in, core.Options{Shards: k, Pilot: pilot}, dispatch.Options{})
 					if err != nil {
 						t.Fatalf("%s/pilot=%v: %v", label, pilot, err)
 					}
@@ -147,7 +148,7 @@ func TestPilotSeamSkewImproves(t *testing.T) {
 // patch (or let earlier partial patches outvote it).
 func TestPilotFullSampleDegenerates(t *testing.T) {
 	in := bench.Intermingled(bench.Small(120, 13), 3, 7)
-	res, err := Build(in, core.Options{Shards: 2, Pilot: true})
+	res, err := BuildDispatch(in, core.Options{Shards: 2, Pilot: true}, dispatch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +173,7 @@ func TestPilotDeterministicAcrossWorkers(t *testing.T) {
 	var wantOffs []float64
 	for _, procs := range []int{1, 4} {
 		runtime.GOMAXPROCS(procs)
-		res, err := Build(in, opt)
+		res, err := BuildDispatch(in, opt, dispatch.Options{})
 		if err != nil {
 			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
@@ -207,7 +208,7 @@ func TestPilotDeterministicAcrossWorkers(t *testing.T) {
 // grid engine.
 func TestShardPairerThresholdKeepsGrid(t *testing.T) {
 	in := bench.Small(10_000, 9)
-	res, err := Build(in, core.Options{SingleGroup: true, Shards: 8})
+	res, err := BuildDispatch(in, core.Options{SingleGroup: true, Shards: 8}, dispatch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +251,7 @@ func TestShardedGroupedWireAccounting(t *testing.T) {
 	in := bench.Intermingled(bench.Small(4000, 5), 4, 41)
 	for _, pilot := range []bool{false, true} {
 		label := fmt.Sprintf("pilot=%v", pilot)
-		res, err := Build(in, core.Options{Shards: 4, Pilot: pilot})
+		res, err := BuildDispatch(in, core.Options{Shards: 4, Pilot: pilot}, dispatch.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}

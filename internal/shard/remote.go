@@ -2,17 +2,18 @@ package shard
 
 import (
 	"repro/internal/core"
-	"repro/internal/ctree"
 	"repro/internal/dispatch"
 	"repro/internal/wire"
 )
 
 // Remote shard dispatch. When dispatch.Options.Remote carries a worker
-// pool, BuildDispatch and runPilot wrap their in-process runners in a
-// dispatch.RemoteRunner: each task is encoded as an internal/wire work unit
-// (sink subset + frozen registry snapshot + the remote-relevant option
-// subset), shipped to a routeworker over HTTP, and its result decoded back
-// into exactly the value the local runner would have produced. Determinism
+// pool, every dispatched phase (the shard builds of BuildDispatch, BuildEco
+// and EcoCache.RebuildDispatch, and runPilot's patch routes) wraps its
+// in-process runner in a dispatch.RemoteRunner: each task is encoded as an
+// internal/wire work unit (sink subset + registry snapshot + the
+// remote-relevant option subset), shipped to a routeworker over HTTP, and
+// its result decoded back into exactly the value the local runner would
+// have produced. Determinism
 // makes the transport invisible — a sub-build is a pure function of its
 // inputs, so a remote result is bitwise the local one — and the in-process
 // runner stays attached as the degradation path: with no healthy worker the
@@ -22,20 +23,23 @@ import (
 // SneakProbe stripped, so worker builds run untraced and the per-shard child
 // traces record only locally executed (fallback) attempts.
 
-// newRemoteShardRunner builds the "shard" phase transport: KindBuild work
-// units over the frozen base registry, decoded into the same shardOut the
-// local runner returns.
-func newRemoteShardRunner(pool *dispatch.WorkerPool, in *ctree.Instance, shardOpt core.Options,
-	base *core.Registry, parts [][]int, local dispatch.Runner, faults *dispatch.FaultPlan) (*dispatch.RemoteRunner, error) {
-	encOpt := stripLocalOnly(shardOpt)
-	snap := base.Snapshot()
-	return pool.Runner(dispatch.RemoteConfig{
-		Phase: "shard",
+// remote wraps a phase's local runner in the worker-pool transport of
+// dopt.Remote: task j ships as a work unit of kind ts.kind over its sink set
+// and a snapshot of ts.reg, and ts.result maps the decoded worker result and
+// its registry onto the value the local runner returns for the same task.
+// Shards ship as KindBuild units over the frozen base; pilot patches as
+// KindPatch units over a fresh registry (every patch route commits offsets
+// from scratch), with the offset contract read out of the returned registry
+// exactly as the local path reads its own.
+func (ts *tasks) remote(dopt dispatch.Options, local dispatch.Runner) (*dispatch.RemoteRunner, error) {
+	in, encOpt, snap := ts.in, stripLocalOnly(ts.opt), ts.reg.Snapshot()
+	return dopt.Remote.Runner(dispatch.RemoteConfig{
+		Phase: dopt.Phase,
 		Encode: func(t dispatch.Task) ([]byte, error) {
 			u := &wire.WorkUnit{
-				Kind:     wire.KindBuild,
+				Kind:     ts.kind,
 				Instance: in,
-				SinkIDs:  parts[t.Index],
+				SinkIDs:  ts.sets[ts.ids[t.Index]],
 				Opt:      encOpt,
 				Registry: snap,
 			}
@@ -50,55 +54,10 @@ func newRemoteShardRunner(pool *dispatch.WorkerPool, in *ctree.Instance, shardOp
 			if err != nil {
 				return nil, err
 			}
-			return shardOut{sub: &core.Subtree{Root: br.Root, Stats: br.Stats}, reg: reg}, nil
+			return ts.result(br, reg), nil
 		},
 		Local:  local,
-		Faults: faults,
-	})
-}
-
-// newRemotePilotRunner builds the "pilot" phase transport for one
-// escalation round: KindPatch work units over a fresh registry snapshot
-// (the pilot's contract — every patch route commits offsets from scratch),
-// decoded into the same pilotOut the local runner returns, with the offset
-// contract read out of the returned registry state exactly as the local
-// path reads its own.
-func newRemotePilotRunner(pool *dispatch.WorkerPool, in *ctree.Instance, opt core.Options,
-	samples [][]int, local dispatch.Runner, faults *dispatch.FaultPlan) (*dispatch.RemoteRunner, error) {
-	encOpt := stripLocalOnly(opt)
-	fresh, err := core.NewRegistry(in, encOpt)
-	if err != nil {
-		return nil, err
-	}
-	snap := fresh.Snapshot()
-	return pool.Runner(dispatch.RemoteConfig{
-		Phase: "pilot",
-		Encode: func(t dispatch.Task) ([]byte, error) {
-			u := &wire.WorkUnit{
-				Kind:     wire.KindPatch,
-				Instance: in,
-				SinkIDs:  samples[t.Index],
-				Opt:      encOpt,
-				Registry: snap,
-			}
-			return u.Encode()
-		},
-		Decode: func(data []byte) (any, error) {
-			br, err := wire.DecodeResult(data, in)
-			if err != nil {
-				return nil, err
-			}
-			reg, err := core.NewRegistryFromSnapshot(br.Registry)
-			if err != nil {
-				return nil, err
-			}
-			var out pilotOut
-			out.stats = br.Stats
-			out.est, out.offsErr = reg.Offsets()
-			return out, nil
-		},
-		Local:  local,
-		Faults: faults,
+		Faults: dopt.Faults,
 	})
 }
 

@@ -73,7 +73,7 @@ func TestRemoteShardedBitwiseIdentical(t *testing.T) {
 	addrs := startWorkers(t, 2, wire.ServerOptions{})
 	for _, k := range []int{2, 4} {
 		opt := core.Options{Shards: k, Pilot: true, Pairer: core.PairerGrid}
-		ref, err := Build(in, opt)
+		ref, err := BuildDispatch(in, opt, dispatch.Options{})
 		if err != nil {
 			t.Fatalf("shards=%d: local: %v", k, err)
 		}
@@ -98,7 +98,7 @@ func TestRemoteShardedBitwiseIdentical(t *testing.T) {
 func TestRemoteWorkerKilledMidBuildBitwise(t *testing.T) {
 	in := groupedInstance("uniform", 2_000, 4)
 	opt := core.Options{Shards: 2, Pilot: true, Pairer: core.PairerGrid}
-	ref, err := Build(in, opt)
+	ref, err := BuildDispatch(in, opt, dispatch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestRemoteWorkerKilledMidBuildBitwise(t *testing.T) {
 func TestRemoteFleetDownFallsBackBitwise(t *testing.T) {
 	in := groupedInstance("uniform", 2_000, 4)
 	opt := core.Options{Shards: 2, Pilot: true, Pairer: core.PairerGrid}
-	ref, err := Build(in, opt)
+	ref, err := BuildDispatch(in, opt, dispatch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestRemoteFleetDownFallsBackBitwise(t *testing.T) {
 func TestRemoteNetFaultsBitwise(t *testing.T) {
 	in := groupedInstance("uniform", 2_000, 4)
 	opt := core.Options{Shards: 2, Pairer: core.PairerGrid}
-	ref, err := Build(in, opt)
+	ref, err := BuildDispatch(in, opt, dispatch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestRemoteNetChaosSeeds(t *testing.T) {
 	}
 	in := groupedInstance("uniform", 800, 4)
 	opt := core.Options{Shards: 2, Pilot: true, Pairer: core.PairerGrid}
-	ref, err := Build(in, opt)
+	ref, err := BuildDispatch(in, opt, dispatch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,5 +238,49 @@ func TestRemoteNetChaosSeeds(t *testing.T) {
 		if got.Dispatch.FaultsInjected == 0 {
 			t.Errorf("seed %d: merged chaos plan (%d coords) injected nothing", seed, plan.Len())
 		}
+	}
+}
+
+// TestEcoRemoteRebuildBitwise pins remote incremental rebuilds: the dirty
+// shards of a rebuild ship to routeworkers exactly like a cold build's, and
+// the result is bitwise the local rebuild's — over two healthy workers with
+// no fallbacks, and over a dead pool where every task falls back in-process.
+func TestEcoRemoteRebuildBitwise(t *testing.T) {
+	in := ecoInstance(2000, 3)
+	full, err := BuildEco(in, core.Options{Shards: 4, Pilot: true}, dispatch.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	script := ecoScript(in, full.Parts)
+	ref, err := full.Eco.RebuildDispatch(script, RebuildOptions{}, dispatch.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs := startWorkers(t, 2, wire.ServerOptions{})
+	got, err := full.Eco.RebuildDispatch(script, RebuildOptions{}, dispatch.Options{
+		Remote: remotePool(t, dispatch.PoolOptions{}, addrs...),
+	})
+	if err != nil {
+		t.Fatalf("remote rebuild: %v", err)
+	}
+	assertIdentical(t, "remote rebuild", got, ref, ref.Instance)
+	if got.Dispatch.RemoteFallbacks != 0 {
+		t.Errorf("%d fallbacks with a healthy fleet", got.Dispatch.RemoteFallbacks)
+	}
+
+	dead := httptest.NewServer(wire.NewHandler(wire.ServerOptions{}))
+	deadURL := dead.URL
+	dead.Close() // the port now refuses connections
+	got, err = full.Eco.RebuildDispatch(script, RebuildOptions{}, dispatch.Options{
+		Remote:      remotePool(t, dispatch.PoolOptions{BlacklistAfter: 1}, deadURL),
+		BackoffBase: time.Microsecond,
+		BackoffMax:  time.Millisecond,
+	})
+	if err != nil {
+		t.Fatalf("fleet-down rebuild: %v", err)
+	}
+	assertIdentical(t, "fleet-down rebuild", got, ref, ref.Instance)
+	if got.Dispatch.RemoteFallbacks == 0 {
+		t.Error("no remote fallbacks reported with the whole fleet down")
 	}
 }

@@ -79,10 +79,10 @@ type Result struct {
 	Dispatch dispatch.Report
 	// Eco is the retained incremental-rebuild contract: the partition, the
 	// frozen base registry, the pilot offset contract and every shard's
-	// pre-stitch subtree, from which EcoCache.Rebuild re-routes an edited
-	// instance by rebuilding only the dirty shards. Nil unless the build
-	// retained it (BuildEco) or the result itself came from a rebuild
-	// (Rebuild results always chain).
+	// pre-stitch subtree, from which EcoCache.RebuildDispatch re-routes an
+	// edited instance by rebuilding only the dirty shards. Nil unless the
+	// build retained it (BuildEco) or the result itself came from a rebuild
+	// (rebuild results always chain).
 	Eco *EcoCache
 	// EcoRebuilt lists the shard indices an incremental rebuild re-routed,
 	// ascending (nil on a from-scratch build); EcoReused counts the cached
@@ -101,12 +101,13 @@ type shardOut struct {
 	reg *core.Registry
 }
 
-// Build routes the instance according to opt.Shards: 0 delegates to the
-// unsharded core.Build; k ≥ 1 partitions the instance into k shards, routes
-// them concurrently against private clones of one frozen offset registry,
-// and stitches the shard roots skew-aware with core.MergeRoots. Shards = 1
-// is bitwise-identical to core.Build; Shards > 1 is deterministic for fixed
-// (instance, options) regardless of scheduling (see the package comment).
+// BuildDispatch routes the instance according to opt.Shards: 0 delegates to
+// the unsharded core.Build; k ≥ 1 partitions the instance into k shards,
+// routes them concurrently against private clones of one frozen offset
+// registry, and stitches the shard roots skew-aware with core.MergeRoots.
+// Shards = 1 is bitwise-identical to core.Build; Shards > 1 is deterministic
+// for fixed (instance, options) regardless of scheduling (see the package
+// comment).
 //
 // opt.Pilot additionally runs the pilot offset pass before the concurrent
 // builds: deterministic full-density sink patches (cut by the same
@@ -117,25 +118,17 @@ type shardOut struct {
 // The pass is skipped on single-group instances, where no inter-group
 // offset exists to prescribe.
 //
-// Sub-builds execute through the internal/dispatch coordinator under its
-// default fault policy: a panicking shard or pilot patch surfaces as an
-// error naming the phase (never a process crash), contained crashes retry
-// with capped backoff, stragglers are hedged first-result-wins, and
-// opt.Ctx cancellation propagates into every merge loop. Determinism is
-// unaffected: every execution of a sub-build is a pure function of its
-// inputs, so retried and hedged runs are bitwise-identical to undisturbed
-// ones. BuildDispatch exposes the policy knobs (and the fault-injection
-// harness) directly.
-func Build(in *ctree.Instance, opt core.Options) (*Result, error) {
-	return BuildDispatch(in, opt, dispatch.Options{})
-}
-
-// BuildDispatch is Build with an explicit dispatch policy: dopt tunes the
-// fault-tolerance layer (retry budget and backoff, hedging deadline, worker
-// cap, fault injection via dopt.Faults). dopt.Phase and dopt.Trace are
-// overridden per pipeline phase ("pilot", "shard"); everything else applies
-// to every dispatched phase unchanged. The zero value is the default policy
-// Build uses.
+// Sub-builds execute through the internal/dispatch coordinator under the
+// policy dopt: a panicking shard or pilot patch surfaces as an error naming
+// the phase (never a process crash), contained crashes retry with capped
+// backoff, stragglers are hedged first-result-wins, and opt.Ctx cancellation
+// propagates into every merge loop. Determinism is unaffected: every
+// execution of a sub-build is a pure function of its inputs, so retried and
+// hedged runs are bitwise-identical to undisturbed ones. dopt tunes the
+// retry budget and backoff, the hedging deadline, the worker cap, fault
+// injection (dopt.Faults) and remote workers (dopt.Remote); dopt.Phase and
+// dopt.Trace are overridden per pipeline phase ("pilot", "shard"). The zero
+// value is the default policy.
 func BuildDispatch(in *ctree.Instance, opt core.Options, dopt dispatch.Options) (*Result, error) {
 	return buildDispatch(in, opt, dopt, false)
 }
@@ -143,10 +136,10 @@ func BuildDispatch(in *ctree.Instance, opt core.Options, dopt dispatch.Options) 
 // BuildEco is BuildDispatch with contract retention: the result additionally
 // carries an EcoCache (partition, frozen base registry, pilot offsets,
 // per-shard pre-stitch subtree encodings) from which an edited instance can
-// be re-routed incrementally (EcoCache.Rebuild). Retention costs one
+// be re-routed incrementally (EcoCache.RebuildDispatch). Retention costs one
 // serialization pass over the shard subtrees, so it is opt-in rather than
-// the Build default. Requires opt.Shards ≥ 1 — the contract is the sharded
-// pipeline's, an unsharded build has no partition to reuse.
+// the BuildDispatch default. Requires opt.Shards ≥ 1 — the contract is the
+// sharded pipeline's, an unsharded build has no partition to reuse.
 func BuildEco(in *ctree.Instance, opt core.Options, dopt dispatch.Options) (*Result, error) {
 	if opt.Shards <= 0 {
 		return nil, fmt.Errorf("shard: eco retention requires Shards ≥ 1 (got %d)", opt.Shards)
@@ -174,15 +167,10 @@ func buildDispatch(in *ctree.Instance, opt core.Options, dopt dispatch.Options, 
 		return nil, fmt.Errorf("shard: Order.Pairer cannot be shared across concurrent shard builds; leave it nil (each build constructs its own engine)")
 	}
 
-	// The sub-builds and the stitch route unsharded; the pilot pass (which
-	// runs before GroupOffsets are prescribed below) validates opt.Pilot's
-	// flag compatibility through core's option normalization.
-	subOpt := opt
-	subOpt.Shards = 0
-	subOpt.Pilot = false
-	// Pipeline components record into their own child traces below; the
-	// parent trace holds the phase spans and stays on this goroutine.
-	subOpt.Trace = nil
+	// The pilot pass (which runs before GroupOffsets are prescribed below)
+	// validates opt.Pilot's flag compatibility through core's option
+	// normalization.
+	subOpt := subBuildOptions(opt)
 	if _, err := core.NewRegistry(in, opt); err != nil {
 		return nil, err // surface Pilot/GroupOffsets/… option conflicts early
 	}
@@ -197,10 +185,7 @@ func buildDispatch(in *ctree.Instance, opt core.Options, dopt dispatch.Options, 
 	}
 	partRgn.End()
 
-	var disp dispatch.Report
-	var pilotOffs []float64
-	var pilotStats core.Stats
-	pilotSinks := 0
+	res := &Result{Result: core.Result{Options: opt}, Trace: tr}
 	if opt.Pilot && in.NumGroups > 1 {
 		pilotRgn := tr.Begin("pilot")
 		pilotOpt := subOpt
@@ -211,95 +196,116 @@ func buildDispatch(in *ctree.Instance, opt core.Options, dopt dispatch.Options, 
 		// too: the dispatcher only contains panics inside patch executions.
 		err := dispatch.Protect("pilot", func() error {
 			var err error
-			var rep dispatch.Report
-			pilotOffs, pilotStats, pilotSinks, rep, err = runPilot(in, pilotOpt, dopt)
-			disp.Add(rep)
+			res.PilotOffsets, res.PilotStats, res.PilotSinks, res.Dispatch, err = runPilot(in, pilotOpt, dopt)
 			return err
 		})
 		pilotOpt.Trace.Close()
 		if err != nil {
 			return nil, err
 		}
-		pilotRgn.Attr("sinks", float64(pilotSinks)).End()
+		pilotRgn.Attr("sinks", float64(res.PilotSinks)).End()
 		// From here on the offsets are a prescribed contract: the base
 		// registry pre-registers them, so every shard's leash and the
 		// stitch's enforce the same inter-group alignment.
-		subOpt.GroupOffsets = pilotOffs
+		subOpt.GroupOffsets = res.PilotOffsets
 	}
 
 	base, err := core.NewRegistry(in, subOpt)
 	if err != nil {
 		return nil, err
 	}
+	p := pipeline{in: in, parts: parts, subOpt: subOpt, base: base, dirty: seq(k), retain: retain}
+	return p.run(res, dopt)
+}
 
-	shardOpt := deriveShardOpt(subOpt, k)
+// pipeline is the back half of the sharded build — route the dirty shards,
+// adopt the clean ones from a cache, retain, stitch, finalize — shared by the
+// cold build (every shard dirty, nothing cached) and the incremental rebuild
+// (eco.go).
+type pipeline struct {
+	in     *ctree.Instance
+	parts  [][]int
+	subOpt core.Options   // sub-build options (subBuildOptions, pilot contract applied)
+	base   *core.Registry // the frozen base registry every shard build clones
+	dirty  []int          // shard indices to route, ascending
+	// from, when non-nil, is the cache every shard outside dirty is adopted
+	// from; oldToNew renumbers from.Instance's sink ids onto in's.
+	from     *EcoCache
+	oldToNew []int
+	// retain snapshots every shard's pre-stitch subtree into Result.Eco.
+	retain bool
+}
+
+// run completes res, which arrives carrying the caller's Options, Trace,
+// pilot fields, Dispatch report and Eco bookkeeping. The cold build records
+// the spans shards/retain/stitch/finalize, the rebuild
+// rebuild/adopt/retain/restitch/finalize.
+func (p *pipeline) run(res *Result, dopt dispatch.Options) (*Result, error) {
+	tr := res.Trace
+	k := len(p.parts)
+	routeSpan, stitchSpan := "shards", "stitch"
+	if p.from != nil {
+		routeSpan, stitchSpan = "rebuild", "restitch"
+	}
 
 	// The shard builds go through the dispatch coordinator: each execution
 	// (first attempt, retry or hedge alike) clones the frozen base registry
 	// privately and routes its shard from scratch — a pure function of
 	// (instance, part, options, base), so whichever execution wins, the
 	// adopted subtree is bitwise the one the undisturbed build produces.
-	// Only the first attempt records into the per-shard child trace (the
-	// trace contract is single-goroutine per node; a retry racing a traced
-	// hedge would otherwise interleave writes), so under faults a shard's
-	// child trace shows the failed attempt while the metrics-bearing result
-	// comes from the winner.
-	shardsRgn := tr.Begin("shards").Attr("count", float64(k))
-	shardTraces := make([]*obs.Trace, k)
-	if tr != nil {
-		for i := range shardTraces {
-			shardTraces[i] = tr.Child("shard" + strconv.Itoa(i))
-		}
+	routeRgn := tr.Begin(routeSpan).Attr("shards", float64(len(p.dirty)))
+	shards := tasks{
+		in: p.in, opt: deriveShardOpt(p.subOpt, k), sets: p.parts, ids: p.dirty, label: "shard",
+		local: func(sinks []int, so core.Options) (any, error) {
+			reg := p.base.Clone() // private view of the frozen base
+			sub, err := core.BuildSubtree(p.in, sinks, so, reg)
+			if err != nil {
+				return nil, err
+			}
+			return shardOut{sub: sub, reg: reg}, nil
+		},
+		kind: wire.KindBuild, reg: p.base,
+		result: func(br *wire.BuildResult, reg *core.Registry) any {
+			return shardOut{sub: &core.Subtree{Root: br.Root, Stats: br.Stats}, reg: reg}
+		},
 	}
-	local := dispatch.RunnerFunc(func(ctx context.Context, t dispatch.Task) (any, error) {
-		so := shardOpt
-		so.Ctx = ctx
-		if t.Attempt == 0 {
-			so.Trace = shardTraces[t.Index]
-		}
-		reg := base.Clone() // private view of the frozen base
-		var sub *core.Subtree
-		var err error
-		// Label the goroutine so -cpuprofile samples attribute to shards.
-		pprof.Do(ctx, pprof.Labels("shard", strconv.Itoa(t.Index)), func(context.Context) {
-			sub, err = core.BuildSubtree(in, parts[t.Index], so, reg)
-		})
-		if err != nil {
-			return nil, err
-		}
-		return shardOut{sub: sub, reg: reg}, nil
-	})
-	// With a worker pool attached, shard builds ship to routeworkers and
-	// degrade back to the local runner when the fleet cannot take them (see
-	// remote.go); the dispatch report picks up the degradation counters
-	// after the run drains.
-	var runner dispatch.Runner = local
-	if dopt.Remote != nil {
-		rr, err := newRemoteShardRunner(dopt.Remote, in, shardOpt, base, parts, local, dopt.Faults)
-		if err != nil {
-			return nil, err
-		}
-		runner = rr
-	}
-	shardDopt := dopt
-	shardDopt.Phase = "shard"
-	shardDopt.Trace = tr
-	outs, rep, err := dispatch.Run(opt.Ctx, k, runner, shardDopt)
-	disp.Add(rep)
-	for _, st := range shardTraces {
-		st.Close()
-	}
-	shardsRgn.End()
+	dopt.Phase = "shard"
+	outs, rep, err := shards.run(tr, dopt)
+	res.Dispatch.Add(rep)
+	routeRgn.End()
 	if err != nil {
 		return nil, err
 	}
 	subs := make([]*core.Subtree, k)
 	regs := make([]*core.Registry, k)
-	for i, out := range outs {
-		so := out.(shardOut)
+	for j, i := range p.dirty {
+		so := outs[j].(shardOut)
 		subs[i], regs[i] = so.sub, so.reg
 	}
 
+	// remaps[i] is adopted shard i's cached-blob → in sink-id map (nil for a
+	// routed shard). Decoding yields fresh nodes every time, so the cache
+	// itself stays reusable.
+	remaps := make([][]int, k)
+	if p.from != nil {
+		adoptRgn := tr.Begin("adopt")
+		err := dispatch.Protect("adopt", func() error {
+			for i := range subs {
+				if subs[i] != nil {
+					continue // dirty, freshly built
+				}
+				var err error
+				if subs[i], regs[i], remaps[i], err = p.from.adopt(i, p.in, p.oldToNew, len(p.parts[i])); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		adoptRgn.End()
+		if err != nil {
+			return nil, err
+		}
+	}
 	roots := make([]*ctree.Node, k)
 	for i, s := range subs {
 		roots[i] = s.Root
@@ -310,30 +316,37 @@ func buildDispatch(in *ctree.Instance, opt core.Options, dopt dispatch.Options, 
 	// resolution, sneak elongation), so the reusable form only exists here.
 	// The blobs are the remote-dispatch result encoding — decoding one is
 	// bitwise the build that produced it, which is what lets a later rebuild
-	// adopt clean shards without re-routing them.
-	var ecoBlobs [][]byte
-	if retain {
+	// adopt clean shards without re-routing them. Only routed shards pay an
+	// encode: an adopted shard's subtree is untouched geometry, so its cached
+	// bytes chain verbatim with the composed renumbering left pending for the
+	// next decode.
+	var blobs [][]byte
+	if p.retain {
 		retainRgn := tr.Begin("retain")
-		if err := dispatch.Protect("retain", func() error {
-			ecoBlobs = make([][]byte, k)
+		blobs = make([][]byte, k)
+		err := dispatch.Protect("retain", func() error {
 			for i, s := range subs {
+				if remaps[i] != nil {
+					blobs[i] = p.from.Blobs[i]
+					continue
+				}
 				br := wire.BuildResult{
 					Root:       s.Root,
 					Stats:      s.Stats,
 					Wirelength: roots[i].Wirelength(),
 					Registry:   regs[i].Snapshot(),
 				}
-				b, err := br.Encode()
-				if err != nil {
+				var err error
+				if blobs[i], err = br.Encode(); err != nil {
 					return err
 				}
-				ecoBlobs[i] = b
 			}
 			return nil
-		}); err != nil {
+		})
+		retainRgn.End()
+		if err != nil {
 			return nil, err
 		}
-		retainRgn.End()
 	}
 
 	// The stitch routes against the frozen base: offsets committed inside a
@@ -342,12 +355,12 @@ func buildDispatch(in *ctree.Instance, opt core.Options, dopt dispatch.Options, 
 	// reconcile them. With a single shard there is nothing to reconcile, so
 	// the stitch adopts the shard's own registry, making the whole pipeline
 	// (stats included) exactly the unsharded sequence.
-	topReg := base
+	topReg := p.base
 	if k == 1 {
 		topReg = regs[0]
 	}
-	stitchRgn := tr.Begin("stitch")
-	stitchOpt := subOpt
+	stitchRgn := tr.Begin(stitchSpan)
+	stitchOpt := p.subOpt
 	if tr != nil {
 		stitchOpt.Trace = tr.Child("stitch")
 	}
@@ -357,7 +370,7 @@ func buildDispatch(in *ctree.Instance, opt core.Options, dopt dispatch.Options, 
 	var top *core.Subtree
 	err = dispatch.Protect("stitch", func() error {
 		var err error
-		top, err = core.MergeRoots(in, roots, stitchOpt, topReg)
+		top, err = core.MergeRoots(p.in, roots, stitchOpt, topReg)
 		return err
 	})
 	stitchOpt.Trace.Close()
@@ -367,39 +380,121 @@ func buildDispatch(in *ctree.Instance, opt core.Options, dopt dispatch.Options, 
 	}
 
 	finRgn := tr.Begin("finalize")
-	res := &Result{
-		Result: core.Result{
-			Instance: in,
-			Root:     top.Root,
-			Options:  opt,
-		},
-		Shards:       make([]ShardInfo, k),
-		StitchStats:  top.Stats,
-		Parts:        parts,
-		PilotOffsets: pilotOffs,
-		PilotSinks:   pilotSinks,
-		PilotStats:   pilotStats,
-		Trace:        tr,
-		Dispatch:     disp,
-	}
 	if err := dispatch.Protect("finalize", func() error {
-		return finalizeResult(res, in, subs, roots, parts, top, base, pilotStats)
+		p.finalize(res, subs, roots, top)
+		return nil
 	}); err != nil {
 		return nil, err
 	}
 	finRgn.End()
-	if retain {
-		res.Eco = &EcoCache{
-			Instance:     in,
-			Opt:          stripLocalOnly(opt),
-			Parts:        parts,
-			Base:         base.Snapshot(),
-			PilotOffsets: pilotOffs,
-			PilotSinks:   pilotSinks,
-			Blobs:        ecoBlobs,
-		}
+	if !p.retain {
+		return res, nil
+	}
+	res.Eco = &EcoCache{
+		Instance:     p.in,
+		Opt:          stripLocalOnly(res.Options),
+		Parts:        p.parts,
+		PilotOffsets: res.PilotOffsets,
+		PilotSinks:   res.PilotSinks,
+		Blobs:        blobs,
+		remaps:       remaps,
+	}
+	// A rebuild carries its cache's base forward; a cold build snapshots
+	// its base here, after the stitch committed into it (on an unpiloted
+	// build that differs from the base the shards cloned; see ROADMAP).
+	if p.from != nil {
+		res.Eco.Base = p.from.Base
+	} else {
+		res.Eco.Base = p.base.Snapshot()
 	}
 	return res, nil
+}
+
+// tasks is one dispatched phase of sub-builds: task j routes the sink set
+// sets[ids[j]] of in.
+type tasks struct {
+	in   *ctree.Instance
+	opt  core.Options // every execution's options; Ctx and Trace are set per execution
+	sets [][]int
+	// ids[j] also names task j: it records into the child trace
+	// label+ids[j] and runs under the pprof label <phase>=ids[j], so
+	// -cpuprofile samples attribute to it.
+	ids   []int
+	label string
+	// local is a task's in-process execution.
+	local func(sinks []int, opt core.Options) (any, error)
+	// Under dispatch.Options.Remote a task ships as a work unit of this
+	// kind over a snapshot of reg, and result maps the decoded worker
+	// result onto what local returns for the same task (remote.go).
+	kind   int
+	reg    *core.Registry
+	result func(br *wire.BuildResult, reg *core.Registry) any
+}
+
+// run executes the tasks through dispatch.Run under dopt.Phase, with child
+// traces of tr. Only a task's first attempt records into its child trace:
+// the trace contract is single-goroutine per node, and a retry or hedge may
+// race the attempt it replaces, so under faults a child trace shows the
+// failed attempt while the metrics-bearing result comes from the winner.
+func (ts *tasks) run(tr *obs.Trace, dopt dispatch.Options) ([]any, dispatch.Report, error) {
+	traces := make([]*obs.Trace, len(ts.ids))
+	local := dispatch.RunnerFunc(func(ctx context.Context, t dispatch.Task) (any, error) {
+		o := ts.opt
+		o.Ctx = ctx
+		o.Trace = nil
+		if t.Attempt == 0 {
+			o.Trace = traces[t.Index]
+		}
+		var out any
+		var err error
+		pprof.Do(ctx, pprof.Labels(dopt.Phase, strconv.Itoa(ts.ids[t.Index])), func(context.Context) {
+			out, err = ts.local(ts.sets[ts.ids[t.Index]], o)
+		})
+		return out, err
+	})
+	// With a worker pool attached, tasks ship to routeworkers and degrade
+	// back to the local runner when the fleet cannot take them (see
+	// remote.go); the report picks up the degradation counters after the run
+	// drains.
+	var runner dispatch.Runner = local
+	if dopt.Remote != nil {
+		rr, err := ts.remote(dopt, local)
+		if err != nil {
+			return nil, dispatch.Report{}, err
+		}
+		runner = rr
+	}
+	if tr != nil {
+		for j, id := range ts.ids {
+			traces[j] = tr.Child(ts.label + strconv.Itoa(id))
+		}
+	}
+	dopt.Trace = tr
+	outs, rep, err := dispatch.Run(ts.opt.Ctx, len(ts.ids), runner, dopt)
+	for _, t := range traces {
+		t.Close()
+	}
+	return outs, rep, err
+}
+
+// seq returns the indices 0..n-1.
+func seq(n int) []int {
+	s := make([]int, n)
+	for i := range s {
+		s[i] = i
+	}
+	return s
+}
+
+// subBuildOptions derives the options every sub-build of the sharded
+// pipeline starts from: the sub-builds and the stitch route unsharded, and
+// pipeline components record into their own child traces while the parent
+// trace holds the phase spans and stays on the coordinating goroutine.
+func subBuildOptions(opt core.Options) core.Options {
+	opt.Shards = 0
+	opt.Pilot = false
+	opt.Trace = nil
+	return opt
 }
 
 // deriveShardOpt derives the per-shard build options from the sub-build
@@ -412,8 +507,8 @@ func buildDispatch(in *ctree.Instance, opt core.Options, dopt dispatch.Options, 
 // k > 1 the sneak probe is dropped too: a Probe is single-goroutine, and
 // concurrent shard builds would race on it (the serial components — pilot,
 // stitch — still record; runs wanting complete sneak capture use Shards ≤ 1).
-// Shared by the from-scratch pipeline and the incremental rebuild so the
-// dirty shards of a rebuild see exactly the options the original shards saw.
+// The incremental rebuild routes its dirty shards through the same pipeline,
+// so they see exactly the options the original shards saw.
 func deriveShardOpt(subOpt core.Options, k int) core.Options {
 	shardOpt := subOpt
 	thr := shardOpt.PairerThreshold
@@ -427,24 +522,25 @@ func deriveShardOpt(subOpt core.Options, k int) core.Options {
 	return shardOpt
 }
 
-// finalizeResult assembles the post-stitch bookkeeping shared by the
-// from-scratch pipeline and the incremental rebuild: per-shard wire
-// attribution, stats aggregation, dense internal-ID renumbering (k > 1) and
-// the source embedding. res must arrive with Shards pre-sized to len(subs).
-func finalizeResult(res *Result, in *ctree.Instance, subs []*core.Subtree, roots []*ctree.Node,
-	parts [][]int, top *core.Subtree, base *core.Registry, pilotStats core.Stats) error {
+// finalize assembles the Result around the stitched tree: per-shard wire
+// attribution, stats aggregation (the pilot's included), dense internal-ID
+// renumbering (k > 1) and the source embedding.
+func (p *pipeline) finalize(res *Result, subs []*core.Subtree, roots []*ctree.Node, top *core.Subtree) {
 	k := len(subs)
+	res.Instance, res.Root, res.Parts = p.in, top.Root, p.parts
+	res.Shards = make([]ShardInfo, k)
+	res.StitchStats = top.Stats
 	var agg core.Stats
-	agg.AddRun(pilotStats) // zero when the pilot was off
+	agg.AddRun(res.PilotStats) // zero when the pilot was off
 	var shardWire float64
 	for i, s := range subs {
 		w := roots[i].Wirelength()
-		res.Shards[i] = ShardInfo{Sinks: len(parts[i]), Wirelength: w, Stats: s.Stats}
+		res.Shards[i] = ShardInfo{Sinks: len(p.parts[i]), Wirelength: w, Stats: s.Stats}
 		shardWire += w
 		agg.AddRun(s.Stats)
 	}
 	agg.AddRun(top.Stats)
-	agg.GroupUnions += base.PreUnions()
+	agg.GroupUnions += p.base.PreUnions()
 	res.Stats = agg
 
 	if k > 1 {
@@ -452,7 +548,7 @@ func finalizeResult(res *Result, in *ctree.Instance, subs []*core.Subtree, roots
 		// stitch); renumber them densely above the sink IDs so IDs are
 		// unique within the run, as core.Build guarantees. Shards = 1 takes
 		// the unsharded numbering as-is, preserving bitwise identity.
-		next := len(in.Sinks)
+		next := len(p.in.Sinks)
 		top.Root.Visit(func(n *ctree.Node) {
 			if !n.IsLeaf() {
 				n.ID = next
@@ -462,9 +558,8 @@ func finalizeResult(res *Result, in *ctree.Instance, subs []*core.Subtree, roots
 	}
 
 	treeWire := top.Root.Wirelength()
-	res.SourceWire = geom.DistRP(top.Root.Region, geom.ToUV(in.Source))
+	res.SourceWire = geom.DistRP(top.Root.Region, geom.ToUV(p.in.Source))
 	res.Wirelength = treeWire + res.SourceWire
 	res.StitchWire = treeWire - shardWire
-	res.Root.Embed(geom.ToUV(in.Source))
-	return nil
+	res.Root.Embed(geom.ToUV(p.in.Source))
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/ctree"
+	"repro/internal/dispatch"
 	"repro/internal/eval"
 	"repro/internal/order"
 )
@@ -59,7 +60,7 @@ func TestShardsOneBitwiseIdentical(t *testing.T) {
 			}
 			opt := inst.opt
 			opt.Shards = 1
-			got, err := Build(inst.in, opt)
+			got, err := BuildDispatch(inst.in, opt, dispatch.Options{})
 			if err != nil {
 				t.Fatalf("%s: sharded: %v", label, err)
 			}
@@ -112,7 +113,7 @@ func TestShardedZeroSkewAndWireEnvelope(t *testing.T) {
 			}
 			for _, k := range []int{2, 4, 8} {
 				label := fmt.Sprintf("%s/n=%d/shards=%d", dist, n, k)
-				res, err := Build(in, core.Options{SingleGroup: true, Shards: k})
+				res, err := BuildDispatch(in, core.Options{SingleGroup: true, Shards: k}, dispatch.Options{})
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -169,7 +170,7 @@ func TestShardedGroupedSkew(t *testing.T) {
 	refSkew := eval.Analyze(ref.Root, in, core.DefaultModel(), in.Source).MaxGroupSkew
 	for _, k := range []int{2, 4} {
 		label := fmt.Sprintf("shards=%d", k)
-		res, err := Build(in, core.Options{IntraSkewBound: bound, Shards: k})
+		res, err := BuildDispatch(in, core.Options{IntraSkewBound: bound, Shards: k}, dispatch.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -213,7 +214,7 @@ func TestShardedDeterministicAcrossWorkers(t *testing.T) {
 		var wantWire, wantHash uint64
 		for _, procs := range []int{1, 4} {
 			runtime.GOMAXPROCS(procs)
-			res, err := Build(inst.in, opt)
+			res, err := BuildDispatch(inst.in, opt, dispatch.Options{})
 			if err != nil {
 				t.Fatalf("%s/GOMAXPROCS=%d: %v", inst.name, procs, err)
 			}
@@ -235,7 +236,7 @@ func TestShardedDeterministicAcrossWorkers(t *testing.T) {
 // shard records.
 func TestShardsOffDelegates(t *testing.T) {
 	in := bench.Small(200, 7)
-	res, err := Build(in, core.Options{SingleGroup: true})
+	res, err := BuildDispatch(in, core.Options{SingleGroup: true}, dispatch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,31 +256,31 @@ func TestShardsOffDelegates(t *testing.T) {
 // and core.Build's refusal to silently ignore Shards.
 func TestShardErrors(t *testing.T) {
 	in := bench.Small(40, 3)
-	if _, err := Build(in, core.Options{SingleGroup: true, Shards: 41}); err == nil {
+	if _, err := BuildDispatch(in, core.Options{SingleGroup: true, Shards: 41}, dispatch.Options{}); err == nil {
 		t.Error("more shards than sinks accepted")
 	}
-	if _, err := Build(in, core.Options{SingleGroup: true, Shards: -1}); err == nil {
+	if _, err := BuildDispatch(in, core.Options{SingleGroup: true, Shards: -1}, dispatch.Options{}); err == nil {
 		t.Error("negative shard count accepted")
 	}
 	if _, err := core.Build(in, core.Options{SingleGroup: true, Shards: 2}); err == nil {
-		t.Error("core.Build accepted Shards > 1 instead of directing to shard.Build")
+		t.Error("core.Build accepted Shards > 1 instead of directing to shard.BuildDispatch")
 	}
-	if _, err := Build(&ctree.Instance{Name: "bad", NumGroups: 1}, core.Options{Shards: 2}); err == nil {
+	if _, err := BuildDispatch(&ctree.Instance{Name: "bad", NumGroups: 1}, core.Options{Shards: 2}, dispatch.Options{}); err == nil {
 		t.Error("invalid instance accepted")
 	}
-	if _, err := Build(in, core.Options{SingleGroup: true, Shards: 2,
-		Order: order.Config{Pairer: stubPairer{}}}); err == nil {
+	if _, err := BuildDispatch(in, core.Options{SingleGroup: true, Shards: 2,
+		Order: order.Config{Pairer: stubPairer{}}}, dispatch.Options{}); err == nil {
 		t.Error("caller-supplied Order.Pairer accepted for concurrent shard builds")
 	}
 	grouped := bench.Intermingled(in, 2, 5)
-	if _, err := Build(grouped, core.Options{Pilot: true}); err == nil {
+	if _, err := BuildDispatch(grouped, core.Options{Pilot: true}, dispatch.Options{}); err == nil {
 		t.Error("Pilot without Shards accepted (nothing to align)")
 	}
-	if _, err := Build(in, core.Options{SingleGroup: true, Pilot: true, Shards: 2}); err == nil {
+	if _, err := BuildDispatch(in, core.Options{SingleGroup: true, Pilot: true, Shards: 2}, dispatch.Options{}); err == nil {
 		t.Error("Pilot + SingleGroup accepted")
 	}
-	if _, err := Build(grouped, core.Options{Pilot: true, Shards: 2,
-		GroupOffsets: []float64{0, 1}}); err == nil {
+	if _, err := BuildDispatch(grouped, core.Options{Pilot: true, Shards: 2,
+		GroupOffsets: []float64{0, 1}}, dispatch.Options{}); err == nil {
 		t.Error("Pilot + explicit GroupOffsets accepted")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/ctree"
+	"repro/internal/dispatch"
 	"repro/internal/eval"
 	"repro/internal/geom"
 	"repro/internal/shard"
@@ -133,16 +134,16 @@ func TestStitchGridPairedLargeInstance(t *testing.T) {
 // TestStitchAgreesWithShardTopLevel is the regression pinning the stitch
 // baseline and the sharded pipeline's top-level merge to the same result
 // where their contracts coincide: on a single-group instance the stitch
-// builds one ZST tree and stitches nothing, and shard.Build with one shard
-// routes the same tree through core's stitch machinery — wirelength and the
-// per-sink delays must agree bitwise with each other and with core.ZST.
+// builds one ZST tree and stitches nothing, and shard.BuildDispatch with one
+// shard routes the same tree through core's stitch machinery — wirelength and
+// the per-sink delays must agree bitwise with each other and with core.ZST.
 func TestStitchAgreesWithShardTopLevel(t *testing.T) {
 	in := bench.Small(3000, 13) // one group, above the grid-pairer threshold
 	st, err := Build(in, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := shard.Build(in, core.Options{SingleGroup: true, Shards: 1})
+	sh, err := shard.BuildDispatch(in, core.Options{SingleGroup: true, Shards: 1}, dispatch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/ctree"
@@ -159,7 +160,9 @@ func DecodeCache(data []byte) (*Cache, error) {
 		}
 		c.Offsets = make([]float64, ng)
 		for i := range c.Offsets {
-			c.Offsets[i] = r.f64()
+			if c.Offsets[i] = r.f64(); math.IsNaN(c.Offsets[i]) || math.IsInf(c.Offsets[i], 0) {
+				r.fail(fmt.Errorf("wire: non-finite cache pilot offset on group %d", i))
+			}
 		}
 	}
 	c.PilotSinks = int(r.iv())

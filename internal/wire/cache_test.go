@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"bytes"
+	"math"
 	"reflect"
 	"testing"
 
@@ -11,7 +13,7 @@ import (
 // buildCache constructs a realistic cache container: a grouped instance
 // split into two parts, a registry with pilot offsets pre-registered, and
 // per-part subtree blobs produced by the worker-side executor.
-func buildCache(t *testing.T) *Cache {
+func buildCache(t testing.TB) *Cache {
 	t.Helper()
 	in := bench.Intermingled(bench.Small(120, 7), 3, 11)
 	opt := core.Options{IntraSkewBound: 2, GroupOffsets: []float64{0, 1.5, -0.25}}
@@ -107,8 +109,8 @@ func TestCacheEncodeRejects(t *testing.T) {
 
 // TestCacheDecodeRejects covers the defensive reader: truncation anywhere,
 // payload corruption, a partition that is not an exact cover, and offsets
-// over the wrong group count all fail at decode — a cache never produces a
-// silently wrong rebuild contract.
+// over the wrong group count or non-finite all fail at decode — a cache
+// never produces a silently wrong rebuild contract.
 func TestCacheDecodeRejects(t *testing.T) {
 	c := buildCache(t)
 	data, err := c.Encode()
@@ -144,4 +146,48 @@ func TestCacheDecodeRejects(t *testing.T) {
 			t.Error("offsets over wrong group count accepted")
 		}
 	}
+	// A non-finite pilot offset.
+	c = buildCache(t)
+	c.Offsets[2] = math.Inf(1)
+	if data, err = c.Encode(); err == nil {
+		if _, err := DecodeCache(data); err == nil {
+			t.Error("infinite pilot offset accepted")
+		}
+	}
+}
+
+// FuzzDecodeCache asserts the cache decoder's no-crash contract on resealed
+// bodies, and that a cache it accepts re-encodes, decodes again and
+// re-encodes to the same bytes (compared as bytes, so raw float bits such
+// as a NaN offset compare exactly).
+func FuzzDecodeCache(f *testing.F) {
+	seed, err := buildCache(f).Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	body := seed[:len(seed)-8]
+	f.Add(body)
+	f.Add(body[:len(body)/2])
+	f.Add([]byte("ASTC"))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		c, err := DecodeCache(reseal(body)) // must never panic
+		if err != nil {
+			return
+		}
+		again, err := c.Encode()
+		if err != nil {
+			t.Fatalf("decoded cache fails to re-encode: %v", err)
+		}
+		c2, err := DecodeCache(again)
+		if err != nil {
+			t.Fatalf("re-encoded cache fails to decode: %v", err)
+		}
+		again2, err := c2.Encode()
+		if err != nil {
+			t.Fatalf("re-decoded cache fails to re-encode: %v", err)
+		}
+		if !bytes.Equal(again, again2) {
+			t.Fatal("round-trip through re-encode diverged")
+		}
+	})
 }

@@ -388,7 +388,9 @@ func decodeSnapshot(r *reader) core.RegistrySnapshot {
 	}
 	s.Off = make([]float64, n)
 	for i := range s.Off {
-		s.Off[i] = r.f64()
+		if s.Off[i] = r.f64(); math.IsNaN(s.Off[i]) || math.IsInf(s.Off[i], 0) {
+			r.fail(fmt.Errorf("wire: non-finite registry offset on group %d", i))
+		}
 	}
 	s.PreUnions = int(r.iv())
 	return s

@@ -157,8 +157,7 @@ func TestDecodeRejectsVersionFlip(t *testing.T) {
 	// (an honest version mismatch, not transit corruption).
 	bad := append([]byte(nil), data[:len(data)-8]...)
 	bad[4] ^= 0xFF
-	w := &writer{b: bad}
-	if _, err := DecodeWork(w.seal()); err == nil {
+	if _, err := DecodeWork(reseal(bad)); err == nil {
 		t.Fatal("flipped version accepted")
 	}
 }
@@ -213,8 +212,57 @@ func TestEncodeRejectsUnserializableOptions(t *testing.T) {
 	}
 }
 
+// reseal seals a message body (a message without its checksum trailer)
+// with a fresh checksum. The fuzzers mutate bodies and reseal them, so the
+// mutations reach the decoders instead of failing the FNV check in front.
+func reseal(body []byte) []byte {
+	w := &writer{b: append([]byte(nil), body...)}
+	return w.seal()
+}
+
+// TestDecodeRejectsGroupCountAboveSinks pins the bound on a decoded group
+// count: a sealed work unit or cache whose instance claims more groups than
+// it has sinks is rejected. A count of 4e11 used to reach an allocation
+// sized by it and kill the process with an out-of-memory error, which
+// dispatch.Protect cannot contain.
+func TestDecodeRejectsGroupCountAboveSinks(t *testing.T) {
+	u := buildWork(t, KindBuild)
+	u.Instance.NumGroups = 400_000_000_000
+	data, err := u.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeWork(data); err == nil {
+		t.Error("work unit with more groups than sinks accepted")
+	}
+	c := buildCache(t)
+	c.Instance.NumGroups = 400_000_000_000
+	if data, err = c.Encode(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeCache(data); err == nil {
+		t.Error("cache with more groups than sinks accepted")
+	}
+}
+
+// TestDecodeRejectsNonFiniteRegistryOffset pins that a registry snapshot
+// crossing the wire carries finite offsets: a NaN would reach every leash
+// and window of the build that clones it (and broke FuzzDecodeWork's
+// round-trip property, NaN never equalling itself).
+func TestDecodeRejectsNonFiniteRegistryOffset(t *testing.T) {
+	u := buildWork(t, KindBuild)
+	u.Registry.Off[1] = math.NaN()
+	data, err := u.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeWork(data); err == nil {
+		t.Error("NaN registry offset accepted")
+	}
+}
+
 // FuzzDecodeWork asserts the decoder's no-crash contract on arbitrary
-// bytes, and full round-trip fidelity on valid encodings.
+// resealed bodies, and full round-trip fidelity on valid encodings.
 func FuzzDecodeWork(f *testing.F) {
 	u := &WorkUnit{}
 	func() {
@@ -229,11 +277,12 @@ func FuzzDecodeWork(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(seed)
-	f.Add(seed[:len(seed)-8])
+	body := seed[:len(seed)-8]
+	f.Add(body)
+	f.Add(body[:len(body)/2])
 	f.Add([]byte("ASTW"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := DecodeWork(data) // must never panic
+	f.Fuzz(func(t *testing.T, body []byte) {
+		got, err := DecodeWork(reseal(body)) // must never panic
 		if err != nil {
 			return
 		}
@@ -252,8 +301,9 @@ func FuzzDecodeWork(f *testing.F) {
 	})
 }
 
-// FuzzDecodeResult asserts the result decoder's no-crash contract,
-// including the iterative tree reconstruction and handle resolution.
+// FuzzDecodeResult asserts the result decoder's no-crash contract on
+// resealed bodies, including the iterative tree reconstruction and handle
+// resolution.
 func FuzzDecodeResult(f *testing.F) {
 	in := bench.Intermingled(bench.Small(40, 3), 2, 5)
 	reg, err := core.NewRegistry(in, core.Options{})
@@ -269,10 +319,10 @@ func FuzzDecodeResult(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(seed)
+	f.Add(seed[:len(seed)-8])
 	f.Add([]byte("ASTR"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		br, err := DecodeResult(data, in) // must never panic
+	f.Fuzz(func(t *testing.T, body []byte) {
+		br, err := DecodeResult(reseal(body), in) // must never panic
 		if err != nil {
 			return
 		}
