@@ -988,6 +988,7 @@ func (b *builder) route() {
 	}
 	if tr := b.opt.Trace; tr != nil {
 		tr.Metric(obs.MetricPairingNS, float64(q.BatchTime().Nanoseconds()))
+		tr.Metric(obs.MetricStarvedPairs, float64(q.Starved()))
 		if gp, ok := ocfg.Pairer.(*spatial.GridPairer); ok {
 			tr.Metric(obs.MetricGridRebuildNS, float64(gp.Index().RebuildTime().Nanoseconds()))
 		}

@@ -70,6 +70,24 @@ func TestTracedBuildRecordsPhasesAndMetrics(t *testing.T) {
 	}
 }
 
+// TestTracedRouteRecordsStarvedPairs: a traced route exports how many pairs
+// the queue's anti-starvation rule forced, next to pairing_ns. Forced pairs
+// are routine on power-law placements, so a 20k-sink ZST route must report
+// some; the count stays out of Stats.
+func TestTracedRouteRecordsStarvedPairs(t *testing.T) {
+	in := bench.PowerLaw(20_000, bench.PowerLawClusters, bench.PowerLawAlpha, 2)
+	tr := obs.New("test")
+	if _, err := Build(in, Options{SingleGroup: true, Trace: tr}); err != nil {
+		t.Fatal(err)
+	}
+	tr.Close()
+	v, ok := tr.MetricValue(obs.MetricStarvedPairs)
+	if !ok || v <= 0 {
+		t.Fatalf("%s metric = %v, %v; want > 0", obs.MetricStarvedPairs, v, ok)
+	}
+	t.Logf("%s = %v", obs.MetricStarvedPairs, v)
+}
+
 // TestSneakProbeRecordsIterations: on an instance known to sneak (the
 // probe's reason to exist), the armed probe sees window evaluations and the
 // recorded offsets vector spans every group.

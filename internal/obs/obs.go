@@ -68,6 +68,11 @@ const (
 	MetricWaveIdleNS    = "merge_wave_idle_ns"
 	MetricPairingNS     = "pairing_ns"
 	MetricGridRebuildNS = "grid_rebuild_ns"
+	// MetricStarvedPairs counts the merges the order queue's
+	// anti-starvation rule forced (order.Queue.Starved). It is a trace
+	// metric, not a Stats field, so routed results and their encodings
+	// do not carry it.
+	MetricStarvedPairs = "starved_pairs"
 	// Dispatch fault-handling counters (internal/dispatch): retries
 	// scheduled after transient failures, hedged straggler duplicates,
 	// panics contained into per-task errors, and planned faults injected

@@ -294,3 +294,6 @@ func (stubPairer) Delete(int)                     {}
 func (stubPairer) Nearest(int) (order.Pair, bool) { return order.Pair{}, false }
 func (stubPairer) NearestAll([]int) []order.Pair  { return nil }
 func (stubPairer) Scans() int64                   { return 0 }
+func (stubPairer) NearestByDistance(int, []bool) (order.Pair, bool) {
+	return order.Pair{}, false
+}

@@ -13,8 +13,9 @@ import (
 // box supplies the current bounding box of an item at Insert time (for the
 // router: the u/v bounds of the node's active region). dist is the exact
 // pair distance and key the pair priority; key == nil means priority =
-// distance. For exact results key(i,j,d) must be ≥ d for every pair — see
-// the package documentation on pruning soundness.
+// distance. For exact results key(i,j,d) must be ≥ d, and d ≥ the distance
+// of the two items' boxes, for every pair — see the package documentation on
+// pruning soundness.
 type GridPairer struct {
 	idx  *Index
 	box  func(id int) geom.Rect
@@ -84,6 +85,26 @@ func (p *GridPairer) Nearest(id int) (order.Pair, bool) {
 		return order.Pair{I: id, J: -1}, false
 	}
 	return order.Pair{Key: k, I: id, J: j}, true
+}
+
+// distKeyer scores candidates by the exact pair distance alone, the
+// priority of the anti-starvation query. It is the pairer under another
+// method set, so passing it as a Keyer allocates nothing.
+type distKeyer GridPairer
+
+func (p *distKeyer) PairKey(self, cand int) float64 { return p.dist(self, cand) }
+
+// NearestByDistance returns id's nearest live partner by raw distance among
+// the ids not marked in used, through the grid's ring search (exact: box
+// distances lower-bound dist). The query is not counted: Scans, the
+// query-rate trigger counters and so every rebuild decision stay exactly
+// what they would be without it.
+func (p *GridPairer) NearestByDistance(id int, used []bool) (order.Pair, bool) {
+	j, d, _, _ := p.idx.nearestScored(id, (*distKeyer)(p), used)
+	if j < 0 {
+		return order.Pair{I: id, J: -1}, false
+	}
+	return order.Pair{Key: d, I: id, J: j}, true
 }
 
 // NearestAll shards the batch of queries across CPUs. Queries only read the

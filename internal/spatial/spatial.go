@@ -56,9 +56,18 @@
 // the distance (the delay-target bias enhancement) defeat the pruning bound,
 // and the router falls back to the all-pairs oracle for them.
 //
+// NearestScored applies the same bound to single candidates: under the
+// Keyer contract (key ≥ box distance) a candidate whose stored box lies
+// farther from the query box than the best key found so far cannot win, so
+// its key is never computed (it still counts as a scanned candidate, which
+// keeps Scans and the scan-rate trigger independent of the skip). The box
+// distance is a read of the index's contiguous box array; the key is a
+// call into the router that chases its node pointers.
+//
 // Exact key ties break toward the smallest item id. Ties are always visited
-// before pruning cuts in (the ring bound is strict), so the tie-break is
-// global, matching the all-pairs scan and keeping runs reproducible.
+// before pruning cuts in (the ring bound and the candidate bound are both
+// strict), so the tie-break is global, matching the all-pairs scan and
+// keeping runs reproducible.
 package spatial
 
 import (
@@ -90,8 +99,14 @@ const (
 	// recellMinLive disables re-cell rebuilds for tiny live sets, where any
 	// cell size is fine and rebuild bookkeeping would dominate.
 	recellMinLive = 32
-	// maxCellsPerItem caps the dense window at this many cells per live
-	// item; DensityCell's estimate is floored so the array stays O(n).
+	// maxCellsPerItem floors DensityCell's estimate so that its window
+	// holds at most this many cells per item, keeping the array O(n). The
+	// scan-rate trim (cellTrim, down to cellTrimMin) multiplies the cell
+	// after that floor, so a trimmed grid can reach 8/0.25² = 128 cells per
+	// item over the live bounding box, and more once the window padding is
+	// added: 145 cells per live item on the 100k-sink power-law placement
+	// at seed 9. setWindow reuses the bucket array across rebuilds for that
+	// reason; allocated fresh, its headers came to 712 MB over that route.
 	maxCellsPerItem = 8
 
 	// Scan-rate rebuild policy (see maybeRebuild and scanRateExceeded).
@@ -305,8 +320,9 @@ func AutoCell(boxes []geom.Rect) float64 {
 // cost), and rescales by √(sample/n) — nearest-neighbor spacing scales with
 // 1/√density, so the thinned sample overestimates it by exactly that
 // factor. The estimate is floored so the dense window stays at most
-// maxCellsPerItem cells per item, and raised to the samples' median box
-// edge so fattened regions keep spanning O(1) cells. On uniform placements
+// maxCellsPerItem cells per item (before any scan-rate trim the index
+// applies on top; see maxCellsPerItem), and raised to the samples' median
+// box edge so fattened regions keep spanning O(1) cells. On uniform placements
 // this lands near AutoCell; on power-law placements it is several times
 // finer, which keeps the hot clusters' buckets small.
 func DensityCell(boxes []geom.Rect) float64 {
@@ -381,12 +397,22 @@ func (x *Index) cellIdx(v float64) int32 {
 	return int32(math.Floor(v / x.cell))
 }
 
-// setWindow allocates the dense bucket array for absolute cell range
-// [u0, u1] × [v0, v1].
+// setWindow sets up an empty dense bucket array for absolute cell range
+// [u0, u1] × [v0, v1]. The array is reused across rebuilds and reallocated
+// only when the window outgrows it: rebuilds recur throughout a route, and
+// a fresh array each time was most of the index's allocation. Entries past
+// len(x.cells) are always nil, so clearing the old length leaves the whole
+// reused prefix empty and no abandoned bucket backing stays reachable.
 func (x *Index) setWindow(u0, u1, v0, v1 int32) {
 	x.ou, x.ov = u0, v0
 	x.w, x.h = u1-u0+1, v1-v0+1
-	x.cells = make([][]int32, int(x.w)*int(x.h))
+	n := int(x.w) * int(x.h)
+	clear(x.cells)
+	if cap(x.cells) >= n {
+		x.cells = x.cells[:n]
+	} else {
+		x.cells = make([][]int32, n)
+	}
 }
 
 // Len returns the number of live items.
@@ -761,7 +787,8 @@ func (x *Index) rebuild(recell bool) {
 	x.baseRate, x.ckQueries, x.ckScans = 0, 0, 0
 	x.baseCellRate, x.ckCells = 0, 0
 	if len(live) == 0 {
-		x.w, x.h, x.cells = 0, 0, nil
+		clear(x.cells)
+		x.w, x.h, x.cells = 0, 0, x.cells[:0]
 		return
 	}
 	if recell && len(live) >= recellMinLive {
@@ -827,8 +854,8 @@ func (x *Index) bulkFile(ids []int32, boxes []geom.Rect) {
 // implementation (typically a pairer) is bound once and reused for every
 // query.
 type Keyer interface {
-	// PairKey returns the pair priority of (self, cand). For exact ring
-	// pruning it must be ≥ DistRR of the two items' boxes.
+	// PairKey returns the pair priority of (self, cand). For exact ring and
+	// candidate pruning it must be ≥ DistRR of the two items' boxes.
 	PairKey(self, cand int) float64
 }
 
@@ -840,16 +867,37 @@ type Keyer interface {
 // also makes NearestScored safe to call from concurrent goroutines between
 // index mutations.
 func (x *Index) NearestScored(self int, k Keyer) (best int, bestKey float64, ok bool) {
+	x.queries.Add(1)
+	best, bestKey, scans, cells := x.nearestScored(self, k, nil)
+	x.scans.Add(scans)
+	x.cellsWalked.Add(cells)
+	if best < 0 {
+		return -1, 0, false
+	}
+	return best, bestKey, true
+}
+
+// nearestScored is the ring search behind NearestScored, restricted to the
+// items not marked in used (nil, or a mask indexed by id that covers every
+// live id). It returns the best candidate (-1 if none) with the candidate
+// evaluations and cells it walked, for the caller to count or not. A
+// candidate whose stored box already lies farther than the best key found
+// is counted but not scored: the Keyer contract makes its key at least that
+// box distance, so it can neither win nor tie (the test is strict, so ties
+// are scored). Skipping it trades a PairKey call, which chases the router's
+// node pointers, for a read of the index's contiguous boxes.
+func (x *Index) nearestScored(self int, k Keyer, used []bool) (best int, bestKey float64, scans, cells int64) {
 	q := x.boxes[self]
 	best, bestKey = -1, math.Inf(1)
-	x.queries.Add(1)
-	var scans, cells int64
 	for _, id32 := range x.over {
 		id := int(id32)
-		if id == self {
+		if id == self || (used != nil && used[id]) {
 			continue
 		}
 		scans++
+		if geom.DistRR(q, x.boxes[id]) > bestKey {
+			continue
+		}
 		if key := k.PairKey(self, id); key < bestKey || (key == bestKey && id < best) {
 			best, bestKey = id, key
 		}
@@ -879,10 +927,13 @@ func (x *Index) NearestScored(self int, k Keyer) (best int, bestKey float64, ok 
 						cells++
 						for _, id32 := range x.cells[row+cu] {
 							id := int(id32)
-							if id == self || x.spans[id].state != spanLive {
+							if id == self || x.spans[id].state != spanLive || (used != nil && used[id]) {
 								continue
 							}
 							scans++
+							if geom.DistRR(q, x.boxes[id]) > bestKey {
+								continue
+							}
 							if key := k.PairKey(self, id); key < bestKey || (key == bestKey && id < best) {
 								best, bestKey = id, key
 							}
@@ -895,12 +946,7 @@ func (x *Index) NearestScored(self int, k Keyer) (best int, bestKey float64, ok 
 			}
 		}
 	}
-	x.scans.Add(scans)
-	x.cellsWalked.Add(cells)
-	if best < 0 {
-		return -1, 0, false
-	}
-	return best, bestKey, true
+	return best, bestKey, scans, cells
 }
 
 // ringStrips writes the window-clamped cell strips of Chebyshev ring r
@@ -909,7 +955,7 @@ func (x *Index) NearestScored(self int, k Keyer) (best int, bestKey float64, ok 
 // whole query box. Each strip is {cu0, cu1, cv0, cv1}.
 //
 // The surrounding expanding-ring loop is deliberately written out in each
-// of NearestScored, Nearest and KNearest rather than abstracted behind a
+// of nearestScored, Nearest and KNearest rather than abstracted behind a
 // per-candidate callback: the candidate visit is the hot instruction of
 // the whole router, and an escaping closure or interface dispatch here is
 // exactly the per-query allocation the Keyer path exists to avoid. The
