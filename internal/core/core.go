@@ -78,8 +78,8 @@ import (
 type PairerMode int
 
 const (
-	// PairerAuto (the default) uses the spatial grid pairer above
-	// GridPairerThreshold sinks whenever it is exact for the run's merge
+	// PairerAuto (the default) uses the spatial grid pairer from
+	// GridPairerThreshold items whenever it is exact for the run's merge
 	// key, and the all-pairs oracle otherwise.
 	PairerAuto PairerMode = iota
 	// PairerScan forces the all-pairs O(n²) oracle.
@@ -89,10 +89,15 @@ const (
 	PairerGrid
 )
 
-// GridPairerThreshold is the sink count at which PairerAuto switches from
-// the all-pairs oracle to the spatial grid pairer. Below it the oracle's
-// cache-friendly scan wins; above it the grid's sub-quadratic pairing does.
-const GridPairerThreshold = 2048
+// GridPairerThreshold is the item count at which PairerAuto switches from
+// the all-pairs oracle to the spatial grid pairer: the smallest measured
+// size at which the grid wins (BenchmarkPairerCrossover, medians of 8 runs
+// on a 2 vCPU Xeon, Go 1.24). Grid time over scan time is 1.78 at 32 items,
+// 0.86 at 64 and 0.87 at 128 for ZST, and 0.88, 0.90 and 0.66 for AST-DME
+// with 4 groups; the grid allocates ~80–130 KB more per build. On the
+// paper's circuits it is 1.6–2.3× faster at r1 (267 sinks) and 6.1–7.5× at
+// r5 (3101 sinks), EXT-BST and AST-DME rows alike.
+const GridPairerThreshold = 64
 
 // Options configures a routing run. The zero value routes associative-skew
 // with zero intra-group bound under the default Elmore parameters.
@@ -122,22 +127,13 @@ type Options struct {
 	// Order configures the merging order.
 	Order order.Config
 	// Pairer selects the nearest-neighbor engine of the merging order:
-	// PairerAuto (grid above GridPairerThreshold when exact), PairerScan
+	// PairerAuto (grid from GridPairerThreshold items when exact), PairerScan
 	// (the all-pairs oracle), or PairerGrid (force the spatial grid).
 	// Ignored when Order.Pairer is set explicitly. Auto never selects the
 	// grid under DelayTargetBias or a custom Order.Key: both can push the
 	// pair priority below the pair distance, which defeats the grid's
 	// geometric pruning bound (see internal/spatial).
 	Pairer PairerMode
-	// PairerThreshold, when positive, overrides GridPairerThreshold as the
-	// sink count at which PairerAuto switches to the spatial grid pairer
-	// (0 selects the package default; forced modes ignore it). The sharded
-	// pipeline divides the threshold by the shard count for its per-shard
-	// sub-builds: the grid-vs-oracle trade-off is about total instance
-	// scale, and comparing each shard's slice against the global constant
-	// silently dropped mid-size sharded runs (e.g. 10k sinks at 8 shards)
-	// onto the O(n²) scan oracle inside every shard.
-	PairerThreshold int
 	// DelayTargetBias, when positive, enables the delay-target merging-order
 	// enhancement (thesis enhancement 2, after Chaturvedi–Hu): the pair
 	// priority becomes cost − bias·(meanDelay_i + meanDelay_j). Units are
@@ -332,9 +328,6 @@ func normalizeOptions(in *ctree.Instance, opt *Options) error {
 	}
 	if opt.Shards < 0 {
 		return fmt.Errorf("core: Shards = %d is negative", opt.Shards)
-	}
-	if opt.PairerThreshold < 0 {
-		return fmt.Errorf("core: PairerThreshold = %d is negative", opt.PairerThreshold)
 	}
 	if opt.Pilot {
 		if opt.SingleGroup {
@@ -1687,11 +1680,7 @@ func (b *builder) useGridPairer(n int, userKey bool) bool {
 	case PairerScan:
 		return false
 	default:
-		thr := b.opt.PairerThreshold
-		if thr <= 0 {
-			thr = GridPairerThreshold
-		}
-		return n >= thr && b.opt.DelayTargetBias == 0 && !userKey
+		return n >= GridPairerThreshold && b.opt.DelayTargetBias == 0 && !userKey
 	}
 }
 

@@ -494,7 +494,4 @@ func TestPilotOptionRejections(t *testing.T) {
 	if _, err := NewRegistry(in, Options{Pilot: true, GroupOffsets: []float64{0, 1}}); err == nil {
 		t.Error("Pilot + explicit GroupOffsets accepted")
 	}
-	if _, err := Build(in, Options{PairerThreshold: -1}); err == nil {
-		t.Error("negative PairerThreshold accepted")
-	}
 }

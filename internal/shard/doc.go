@@ -29,11 +29,6 @@
 // enforces the intra-group bound over its own sinks; the relative offsets a
 // shard commits between groups are recorded in a private core.Registry
 // cloned from one frozen base (prescribed Options.GroupOffsets included).
-// Per-shard builds also see core's grid-pairer threshold divided by the
-// shard count: PairerAuto's grid-vs-oracle decision is about total instance
-// scale, and comparing each shard's 1/k slice against the global constant
-// would silently drop mid-size sharded runs (10k sinks at 8 shards) back
-// onto the O(n²) scan oracle inside every shard.
 // Sharing by frozen snapshot rather than by lock keeps the concurrent phase
 // mutex-free and the result independent of goroutine scheduling. Offsets
 // committed inside different shards may disagree; reconciliation is the

@@ -47,35 +47,40 @@ func ecoScript(in *ctree.Instance, parts [][]int) *instio.EditScript {
 // codec bitwise and the stitch is deterministic, the result is bitwise the
 // retained build's. This is the foundation the differential tests stand on:
 // any drift between the cached contract and the from-scratch pipeline shows
-// up here first.
+// up here first. The unpiloted build pins that the cache keeps the base
+// registry its shards cloned, not the one the stitch committed offsets into
+// (a cache holding the latter re-stitched to a different tree).
 func TestEcoNoopRebuild(t *testing.T) {
 	in := ecoInstance(2000, 3)
-	full, err := BuildEco(in, core.Options{Shards: 4, Pilot: true}, dispatch.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.Eco == nil || len(full.Eco.Blobs) != 4 {
-		t.Fatalf("retained build carries no eco contract: %+v", full.Eco)
-	}
-	res, err := full.Eco.RebuildDispatch(&instio.EditScript{}, RebuildOptions{}, dispatch.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.EcoRebuilt) != 0 || res.EcoReused != 4 {
-		t.Errorf("noop rebuild re-routed %v, reused %d; want none, 4", res.EcoRebuilt, res.EcoReused)
-	}
-	if wb, rb := math.Float64bits(res.Wirelength), math.Float64bits(full.Wirelength); wb != rb {
-		t.Errorf("noop rebuild wirelength bits 0x%016x, want 0x%016x", wb, rb)
-	}
-	if gh, rh := delayDigest(t, res.Root, in), delayDigest(t, full.Root, in); gh != rh {
-		t.Errorf("noop rebuild delay digest 0x%016x, want 0x%016x", gh, rh)
-	}
-	if res.Eco == nil {
-		t.Error("rebuild result does not chain an eco contract")
-	}
-	for i := range res.Shards {
-		if res.Shards[i].Stats != full.Shards[i].Stats {
-			t.Errorf("shard %d stats changed on a noop rebuild", i)
+	for _, pilot := range []bool{true, false} {
+		full, err := BuildEco(in, core.Options{Shards: 4, Pilot: pilot}, dispatch.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if full.Eco == nil || len(full.Eco.Blobs) != 4 {
+			t.Fatalf("pilot=%v: retained build carries no eco contract: %+v", pilot, full.Eco)
+		}
+		res, err := full.Eco.RebuildDispatch(&instio.EditScript{}, RebuildOptions{}, dispatch.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.EcoRebuilt) != 0 || res.EcoReused != 4 {
+			t.Errorf("pilot=%v: noop rebuild re-routed %v, reused %d; want none, 4", pilot, res.EcoRebuilt, res.EcoReused)
+		}
+		if wb, rb := math.Float64bits(res.Wirelength), math.Float64bits(full.Wirelength); wb != rb {
+			t.Errorf("pilot=%v: noop rebuild wirelength %v (bits 0x%016x), want %v (0x%016x)",
+				pilot, res.Wirelength, wb, full.Wirelength, rb)
+		}
+		if gh, rh := delayDigest(t, res.Root, in), delayDigest(t, full.Root, in); gh != rh {
+			t.Errorf("pilot=%v: noop rebuild delay digest 0x%016x, want 0x%016x", pilot, gh, rh)
+		}
+		if res.Eco == nil {
+			t.Errorf("pilot=%v: rebuild result does not chain an eco contract", pilot)
+		}
+		for i := range res.Shards {
+			if res.Shards[i].Stats != full.Shards[i].Stats {
+				t.Errorf("pilot=%v: shard %d stats changed on a noop rebuild", pilot, i)
+			}
 		}
 	}
 }

@@ -198,14 +198,11 @@ func TestPilotDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestShardPairerThresholdKeepsGrid is the regression test for the per-shard
-// PairerAuto fallback: before the threshold was scaled by the shard count, a
-// 10k-sink run at 8 shards put 1250 sinks in each shard — below the global
-// GridPairerThreshold — so every shard silently fell back to the O(n²) scan
-// oracle. With the scaled threshold each shard selects the grid; the scan
-// oracle's very first Multi round alone evaluates n(n−1)/2 candidate pairs,
-// so a per-shard scan count below an eighth of that is only reachable by the
-// grid engine.
+// TestShardPairerThresholdKeepsGrid pins that per-shard builds select the
+// grid: a 10k-sink run at 8 shards puts ~1250 sinks in each shard, and the
+// scan oracle's very first Multi round alone evaluates n(n−1)/2 candidate
+// pairs, so a per-shard scan count below an eighth of that is only reachable
+// by the grid engine.
 func TestShardPairerThresholdKeepsGrid(t *testing.T) {
 	in := bench.Small(10_000, 9)
 	res, err := BuildDispatch(in, core.Options{SingleGroup: true, Shards: 8}, dispatch.Options{})
@@ -220,25 +217,24 @@ func TestShardPairerThresholdKeepsGrid(t *testing.T) {
 				i, si.Sinks, si.Stats.PairScans, oracleRound)
 		}
 	}
-	// The explicit override reaches the unsharded path too, in both
-	// directions: a forced-low threshold turns the grid on below the
-	// default, a forced-high one keeps the oracle above it, and the routed
-	// trees agree bitwise (the engines are differentially pinned).
+	// The unsharded path: auto on a mid-size instance is the grid, and the
+	// routed tree is bitwise the forced scan's (the engines are
+	// differentially pinned).
 	small := bench.Small(600, 21)
-	gridded, err := core.ZST(small, core.Options{PairerThreshold: 500})
+	auto, err := core.ZST(small, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	scanned, err := core.ZST(small, core.Options{PairerThreshold: 601})
+	scanned, err := core.ZST(small, core.Options{Pairer: core.PairerScan})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gridded.Wirelength != scanned.Wirelength {
-		t.Errorf("threshold override changed the tree: wire %v (grid) vs %v (scan)", gridded.Wirelength, scanned.Wirelength)
+	if math.Float64bits(auto.Wirelength) != math.Float64bits(scanned.Wirelength) {
+		t.Errorf("auto changed the tree: wire %v (auto) vs %v (scan)", auto.Wirelength, scanned.Wirelength)
 	}
-	if gridded.Stats.PairScans >= scanned.Stats.PairScans {
-		t.Errorf("PairerThreshold=500 on 600 sinks did not engage the grid: %d scans vs oracle %d",
-			gridded.Stats.PairScans, scanned.Stats.PairScans)
+	if auto.Stats.PairScans >= scanned.Stats.PairScans {
+		t.Errorf("auto on 600 sinks did not engage the grid: %d scans vs oracle %d",
+			auto.Stats.PairScans, scanned.Stats.PairScans)
 	}
 }
 

@@ -320,10 +320,15 @@ func (p *pipeline) run(res *Result, dopt dispatch.Options) (*Result, error) {
 	// encode: an adopted shard's subtree is untouched geometry, so its cached
 	// bytes chain verbatim with the composed renumbering left pending for the
 	// next decode.
+	// The base registry is snapshotted here too, before the stitch commits
+	// offsets into it: a later rebuild's dirty shards and re-stitch must see
+	// the registry the shards cloned.
 	var blobs [][]byte
+	var baseSnap core.RegistrySnapshot
 	if p.retain {
 		retainRgn := tr.Begin("retain")
 		blobs = make([][]byte, k)
+		baseSnap = p.base.Snapshot()
 		err := dispatch.Protect("retain", func() error {
 			for i, s := range subs {
 				if remaps[i] != nil {
@@ -398,14 +403,7 @@ func (p *pipeline) run(res *Result, dopt dispatch.Options) (*Result, error) {
 		PilotSinks:   res.PilotSinks,
 		Blobs:        blobs,
 		remaps:       remaps,
-	}
-	// A rebuild carries its cache's base forward; a cold build snapshots
-	// its base here, after the stitch committed into it (on an unpiloted
-	// build that differs from the base the shards cloned; see ROADMAP).
-	if p.from != nil {
-		res.Eco.Base = p.from.Base
-	} else {
-		res.Eco.Base = p.base.Snapshot()
+		Base:         baseSnap,
 	}
 	return res, nil
 }
@@ -498,24 +496,14 @@ func subBuildOptions(opt core.Options) core.Options {
 }
 
 // deriveShardOpt derives the per-shard build options from the sub-build
-// options: the grid-pairer threshold is scaled by the shard count —
-// PairerAuto's grid-vs-oracle decision is about total instance scale (a
-// shard holds ~1/k of the instance), and comparing each shard's slice
-// against the global constant silently dropped mid-size sharded runs back
-// onto the O(n²) scan oracle inside every shard. k = 1 leaves the threshold
-// untouched, preserving bitwise identity with the unsharded build. For
-// k > 1 the sneak probe is dropped too: a Probe is single-goroutine, and
-// concurrent shard builds would race on it (the serial components — pilot,
-// stitch — still record; runs wanting complete sneak capture use Shards ≤ 1).
-// The incremental rebuild routes its dirty shards through the same pipeline,
-// so they see exactly the options the original shards saw.
+// options. For k > 1 the sneak probe is dropped: a Probe is
+// single-goroutine, and concurrent shard builds would race on it (the serial
+// components — pilot, stitch — still record; runs wanting complete sneak
+// capture use Shards ≤ 1). The incremental rebuild routes its dirty shards
+// through the same pipeline, so they see exactly the options the original
+// shards saw.
 func deriveShardOpt(subOpt core.Options, k int) core.Options {
 	shardOpt := subOpt
-	thr := shardOpt.PairerThreshold
-	if thr <= 0 {
-		thr = core.GridPairerThreshold
-	}
-	shardOpt.PairerThreshold = (thr + k - 1) / k
 	if k > 1 {
 		shardOpt.SneakProbe = nil
 	}

@@ -6,9 +6,10 @@ import (
 )
 
 // GridPairer adapts Index to order.Pairer, the pluggable nearest-partner
-// contract of the merging queue. It is the default engine above the router's
-// size threshold; the all-pairs scan built into package order remains the
-// oracle below it and for keys the grid cannot prune exactly.
+// contract of the merging queue. The router uses it from
+// core.GridPairerThreshold (64) items on, which covers every circuit of the
+// paper; the all-pairs scan built into package order remains the oracle
+// below that size and for keys the grid cannot prune exactly.
 //
 // box supplies the current bounding box of an item at Insert time (for the
 // router: the u/v bounds of the node's active region). dist is the exact

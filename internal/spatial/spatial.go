@@ -54,7 +54,7 @@
 // DME) and for the router's snaking-aware merge keys, which only add
 // non-negative elongation excess to the distance. Keys that can drop below
 // the distance (the delay-target bias enhancement) defeat the pruning bound,
-// and the router falls back to the all-pairs oracle for them.
+// and the router keeps the all-pairs oracle for them at every size.
 //
 // NearestScored applies the same bound to single candidates: under the
 // Keyer contract (key ≥ box distance) a candidate whose stored box lies

@@ -99,10 +99,10 @@ func TestStitchFig2Shape(t *testing.T) {
 }
 
 // TestStitchGridPairedLargeInstance exercises the stitch baseline at a
-// scale where each per-group build crosses core.GridPairerThreshold, so the
-// per-group trees route through the spatial grid pairer rather than the
-// all-pairs scan the small tests use: tree structure, per-group zero skew
-// and the wire accounting must all survive the engine switch.
+// scale where each per-group build (2500 sinks) runs the spatial grid pairer
+// through many merge rounds and window rebuilds, far past
+// core.GridPairerThreshold: tree structure, per-group zero skew and the
+// wire accounting must all hold there.
 func TestStitchGridPairedLargeInstance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")

@@ -32,7 +32,7 @@ import (
 
 // Version tags the wire format. Bump on any layout change; decoders reject
 // other versions outright rather than guessing.
-const Version uint16 = 2
+const Version uint16 = 3
 
 // Message magic tags (work unit vs result), so one can never decode as the
 // other.
@@ -257,7 +257,6 @@ func encodeOptions(w *writer, o core.Options) error {
 	w.iv(int64(o.Order.Strategy))
 	w.f64(o.Order.BatchFraction)
 	w.iv(int64(o.Pairer))
-	w.iv(int64(o.PairerThreshold))
 	w.f64(o.DelayTargetBias)
 	w.bool(o.EndpointSplit)
 	w.uv(uint64(len(o.PairConstraints)))
@@ -302,7 +301,6 @@ func decodeOptions(r *reader) (core.Options, error) {
 	o.Order.Strategy = order.Strategy(r.iv())
 	o.Order.BatchFraction = r.f64()
 	o.Pairer = core.PairerMode(r.iv())
-	o.PairerThreshold = int(r.iv())
 	o.DelayTargetBias = r.f64()
 	o.EndpointSplit = r.bool()
 	npc := int(r.uv())
@@ -343,12 +341,15 @@ func decodeOptions(r *reader) (core.Options, error) {
 	if o.Pairer < core.PairerAuto || o.Pairer > core.PairerGrid {
 		return o, fmt.Errorf("wire: unknown pairer mode %d", o.Pairer)
 	}
-	if o.PairerThreshold < 0 || o.MaxSneakIter < 0 {
-		return o, fmt.Errorf("wire: negative option (pairer threshold %d, sneak iter %d)",
-			o.PairerThreshold, o.MaxSneakIter)
+	if o.MaxSneakIter < 0 {
+		return o, fmt.Errorf("wire: negative sneak iteration cap %d", o.MaxSneakIter)
 	}
-	for _, f := range []float64{o.IntraSkewBound, o.InterSkewBound, o.GlobalBound,
-		o.Order.BatchFraction, o.DelayTargetBias, o.SneakCostCap} {
+	fs := []float64{o.IntraSkewBound, o.InterSkewBound, o.GlobalBound,
+		o.Order.BatchFraction, o.DelayTargetBias, o.SneakCostCap}
+	for _, pc := range o.PairConstraints {
+		fs = append(fs, pc.MinPs, pc.MaxPs)
+	}
+	for _, f := range append(fs, o.GroupOffsets...) {
 		if math.IsNaN(f) || math.IsInf(f, 0) {
 			return o, fmt.Errorf("wire: non-finite option value %v", f)
 		}

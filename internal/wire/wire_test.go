@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"hash/fnv"
 	"math"
+	"os"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/bench"
@@ -258,6 +261,64 @@ func TestDecodeRejectsNonFiniteRegistryOffset(t *testing.T) {
 	}
 	if _, err := DecodeWork(data); err == nil {
 		t.Error("NaN registry offset accepted")
+	}
+}
+
+// TestDecodeRejectsNonFiniteGroupOffset pins that prescribed group offsets
+// crossing the wire are finite: a NaN target would reach every window the
+// pre-registered registry derives from it.
+func TestDecodeRejectsNonFiniteGroupOffset(t *testing.T) {
+	u := buildWork(t, KindBuild)
+	u.Opt.GroupOffsets = []float64{0, 3, math.NaN(), 0}
+	data, err := u.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeWork(data); err == nil || !strings.Contains(err.Error(), "non-finite") {
+		t.Errorf("NaN group offset: got %v, want a non-finite rejection", err)
+	}
+}
+
+// TestDecodeRejectsNonFinitePairConstraint pins the same for both ends of
+// an inter-group skew range: an infinite end turns the window's midpoint
+// and half-width into NaN or ±Inf.
+func TestDecodeRejectsNonFinitePairConstraint(t *testing.T) {
+	for _, pc := range []core.PairConstraint{
+		{I: 0, J: 1, MinPs: math.Inf(-1), MaxPs: 5},
+		{I: 0, J: 1, MinPs: -5, MaxPs: math.NaN()},
+	} {
+		u := buildWork(t, KindBuild)
+		u.Opt.PairConstraints = []core.PairConstraint{pc}
+		data, err := u.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeWork(data); err == nil || !strings.Contains(err.Error(), "non-finite") {
+			t.Errorf("pair constraint %+v: got %v, want a non-finite rejection", pc, err)
+		}
+	}
+}
+
+// TestFuzzSeedHugeNumGroupsReachesGroupCount pins that the committed
+// FuzzDecodeCache seed is a body of the current wire version: resealed, it
+// must get past the version check and fail on its group count, the bound it
+// was saved to exercise.
+func TestFuzzSeedHugeNumGroupsReachesGroupCount(t *testing.T) {
+	raw, err := os.ReadFile("testdata/fuzz/FuzzDecodeCache/huge_num_groups")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, lit, ok := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+	if !ok || !strings.HasPrefix(lit, "[]byte(") || !strings.HasSuffix(lit, ")") {
+		t.Fatalf("unexpected corpus file layout: %q", raw)
+	}
+	body, err := strconv.Unquote(lit[len("[]byte(") : len(lit)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = DecodeCache(reseal([]byte(body)))
+	if err == nil || !strings.Contains(err.Error(), "NumGroups") {
+		t.Errorf("seed: got %v, want a group-count rejection", err)
 	}
 }
 
